@@ -3,8 +3,8 @@
 Covers the 2D floor-shape catalogue (slab bands and their protuberance
 variants), the 3D slab ("regular") and one-active-floor ("canonical")
 families, the gateway classifier with its three floor types, canonical
-growth paths realizing the energy barrier, the explicit sub-barrier escape
-path from thin slabs, and the transition-path recognizer.
+growth paths realizing the energy barrier, and the explicit sub-barrier
+escape path from thin slabs.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
 from .energy import energy, flip_delta
-from .lattice import Lattice2D, LatticeSpec, OPEN, PERIODIC, SpinConfig, monochrome
+from .lattice import (Lattice2D, LatticeSpec, OPEN, PERIODIC, SpinConfig,
+                      axis_permutations, monochrome)
 
 __all__ = [
     "mk_mK",
@@ -30,7 +30,6 @@ __all__ = [
     "xi_side",
     "regular_2d_codes",
     "protuberance_2d_codes",
-    "bulk_2d_codes",
     "bulk_gamma_2d_codes",
     "zeta_2d_codes",
     "gateway_2d_types",
@@ -44,7 +43,6 @@ __all__ = [
     "PathSeq",
     "canonical_path",
     "escape_path",
-    "is_transition_path",
 ]
 
 
@@ -262,16 +260,6 @@ def canonical_2d_codes(spec2d: Lattice2D, a: int, b: int) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def bulk_2d_codes(spec2d: Lattice2D, a: int, b: int) -> frozenset[int]:
-    """The 2D bulk typical codes: wide bands plus mid-window protuberances."""
-    out: set[int] = set()
-    for v in range(2, spec2d.L - 1):
-        out |= regular_2d_codes(spec2d, a, b, v)
-    out |= bulk_gamma_2d_codes(spec2d, a, b)
-    return frozenset(out)
-
-
-@lru_cache(maxsize=None)
 def bulk_gamma_2d_codes(spec2d: Lattice2D, a: int, b: int) -> frozenset[int]:
     """The saddle-level part of the 2D bulk set (protuberances with
     ``2 <= v <= L-3``)."""
@@ -352,25 +340,15 @@ def _orientation_images(sigma: SpinConfig):
     """(label, image) pairs over the allowed-axis-swap closure of sigma.
 
     Labels are permutation strings over the axes (identity first); only
-    swaps between equal extents are generated.
+    swaps between equal extents are generated, and a label whose image
+    repeats an earlier one is skipped.
     """
-    spec = sigma.spec
-    K, L, M = spec.dims
-    if K == L == M:
-        arr = sigma.array3d
-        seen = {}
-        for perm in sorted(permutations((0, 1, 2))):
-            img = SpinConfig(spec, np.ascontiguousarray(arr.transpose(perm)).ravel())
-            label = "".join(map(str, perm))
-            if img not in seen.values():
-                seen[label] = img
-        return list(seen.items())
-    out = [("012", sigma)]
-    if K == L:
-        out.append(("021", sigma.permute("12")))
-    elif L == M:
-        out.append(("102", sigma.permute("23")))
-    return out
+    seen: dict[str, SpinConfig] = {}
+    for label in axis_permutations(sigma.array3d.shape):
+        img = sigma.transpose(label)
+        if img not in seen.values():
+            seen[label] = img
+    return list(seen.items())
 
 
 def build_regular(
@@ -387,20 +365,7 @@ def build_regular(
 
 
 def _apply_orientation(sigma: SpinConfig, orientation: str | None) -> SpinConfig:
-    if orientation in (None, "012"):
-        return sigma
-    try:
-        perm = tuple(int(c) for c in orientation)
-    except (TypeError, ValueError):
-        raise ValueError(f"bad orientation label {orientation!r}") from None
-    if sorted(perm) != [0, 1, 2]:
-        raise ValueError(f"bad orientation label {orientation!r}")
-    spec = sigma.spec
-    extents = (spec.M, spec.L, spec.K)  # array3d axis extents
-    if tuple(extents[p] for p in perm) != extents:
-        raise ValueError(f"orientation {orientation!r} not allowed on this lattice")
-    arr = sigma.array3d
-    return SpinConfig(spec, np.ascontiguousarray(arr.transpose(perm)).ravel())
+    return sigma if orientation is None else sigma.transpose(orientation)
 
 
 def build_canonical(
@@ -834,30 +799,3 @@ def escape_path(spec: LatticeSpec, a: int, b: int, n: int) -> PathSeq:
     stages["stage3"] = (s0, len(flips))
     return _path_from_flips(start, flips, stages)
 
-
-# ---------------------------------------------------------------------------
-# Transition-path recognizer
-# ---------------------------------------------------------------------------
-
-def is_transition_path(path: PathSeq, typical) -> bool:
-    """True when the path starts in the gateway-avoiding closure of the
-    A-grounds, ends in that of the B-grounds, and every interior
-    configuration lies in the saddle corridor.
-
-    ``typical`` is a ``landscape.TypicalSets`` result (the membership
-    oracles are only available on enumerable instances).
-    """
-    space = typical.space
-    from .landscape import neighborhood  # local import to avoid a cycle
-
-    grounds = space.ground_states()
-    S_A = [grounds[x] for x in typical.A]
-    S_B = [grounds[x] for x in typical.B]
-    start_zone = neighborhood(space, S_A, typical.gamma, avoid=typical.G_mask).mask
-    end_zone = neighborhood(space, S_B, typical.gamma, avoid=typical.G_mask).mask
-    states = [space.index_of(c) for c in path.configs()]
-    if len(states) < 2:
-        return False
-    if not (start_zone[states[0]] and end_zone[states[-1]]):
-        return False
-    return all(typical.H_AB[s] for s in states[1:-1])

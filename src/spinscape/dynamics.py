@@ -27,7 +27,6 @@ __all__ = [
     "rate_from_delta",
     "discrete_kernel",
     "gibbs",
-    "log_gibbs",
     "partition_function",
     "TrajectorySample",
     "simulate_hit",
@@ -87,10 +86,6 @@ def discrete_kernel(sigma: SpinConfig, beta: float) -> dict:
 def gibbs(sigma: SpinConfig, beta: float) -> float:
     """Unnormalized Gibbs weight ``exp(-beta H(sigma))``."""
     return math.exp(-beta * energy(sigma))
-
-
-def log_gibbs(sigma: SpinConfig, beta: float) -> float:
-    return -beta * energy(sigma)
 
 
 def partition_function(space, beta: float) -> float:
@@ -325,7 +320,8 @@ def sample_hitting_times(
 
 def _jump_tables(space, beta: float):
     """Per-state jump targets, cumulative jump probabilities, total rates."""
-    moves = space.move_table()  # (n_states, n_moves) target state per move
+    # (n_states, n_moves) target state per move; intp indexes faster than int32
+    moves = space.move_table().astype(np.intp)
     deltas = space.move_deltas()  # (n_states, n_moves) energy change
     rates = np.exp(-beta * np.maximum(deltas, 0.0))
     total = rates.sum(axis=1)

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice1D, Lattice2D, LatticeSpec, PERIODIC, Site, SpinConfig
+from .lattice import Lattice2D, LatticeSpec, PERIODIC, Site, SpinConfig
 
 __all__ = [
     "energy",
-    "energy3d",
     "energy2d",
-    "energy1d",
     "decompose",
     "flip_delta",
     "PillarStats",
@@ -53,22 +51,10 @@ def energy(sigma: SpinConfig, h: float = 0.0):
     return val - h * int(np.count_nonzero(s == 1))
 
 
-def energy3d(sigma: SpinConfig, h: float = 0.0):
-    if not isinstance(sigma.spec, LatticeSpec):
-        raise TypeError("energy3d expects a 3D configuration")
-    return energy(sigma, h)
-
-
 def energy2d(eta: SpinConfig, h: float = 0.0):
     if not isinstance(eta.spec, Lattice2D):
         raise TypeError("energy2d expects a 2D configuration")
     return energy(eta, h)
-
-
-def energy1d(p: SpinConfig, h: float = 0.0):
-    if not isinstance(p.spec, Lattice1D):
-        raise TypeError("energy1d expects a 1D configuration")
-    return energy(p, h)
 
 
 # ---------------------------------------------------------------------------

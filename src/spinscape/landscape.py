@@ -11,11 +11,11 @@ the typical-configuration machinery.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import canon
 from .canon import mk_mK  # noqa: F401  (re-exported convenience)
 from .lattice import Lattice2D, LatticeSpec, PERIODIC, SpinConfig, monochrome
 
@@ -91,20 +91,29 @@ class StateSpace:
     # -- move tables -------------------------------------------------------
 
     def move_table(self) -> np.ndarray:
-        """(n_states, n_sites*(q-1)) target state of every single-site move."""
+        """(n_states, n_sites*(q-1)) int32 target state of every single-site move."""
         if not hasattr(self, "_move_table"):
             n, q = self.n_sites, self.q
-            codes = np.arange(self.n_states, dtype=np.int64)
-            cols = []
+            codes = np.arange(self.n_states, dtype=np.int32)
+            mt = np.empty((self.n_states, n * (q - 1)), dtype=np.int32)
             pow_q = 1
             for i in range(n):
-                old = self.spins_matrix[:, i].astype(np.int64)
+                old = self.spins_matrix[:, i].astype(np.int32)
                 for r in range(q - 1):
                     new = r + (r >= old)
-                    cols.append(codes + (new - old) * pow_q)
+                    mt[:, i * (q - 1) + r] = codes + (new - old) * pow_q
                 pow_q *= q
-            self._move_table = np.stack(cols, axis=1)
+            self._move_table = mt
         return self._move_table
+
+    def energy_levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """States sorted by energy, the distinct energies, and the slice
+        ``bounds[j]:bounds[j+1]`` of the sorted states at ``levels[j]``."""
+        if not hasattr(self, "_energy_levels"):
+            order = np.argsort(self.energies, kind="stable")
+            levels, starts = np.unique(self.energies[order], return_index=True)
+            self._energy_levels = (order, levels, np.append(starts, len(order)))
+        return self._energy_levels
 
     def move_deltas(self) -> np.ndarray:
         """(n_states, n_moves) energy change of every single-site move."""
@@ -134,6 +143,11 @@ def enumerate_space(spec, limit: int = DEFAULT_STATE_LIMIT) -> StateSpace:
     n = spec.n_sites
     q = spec.q
     n_states = q ** n
+    if n_states >= 2 ** 31:
+        raise ValueError(
+            f"state space has {n_states} states; move tables store state "
+            "indices as int32, so at most 2**31 - 1 states are supported"
+        )
     if n_states > limit:
         raise ValueError(
             f"state space has {n_states} states, over the limit {limit}; "
@@ -155,24 +169,41 @@ def enumerate_space(spec, limit: int = DEFAULT_STATE_LIMIT) -> StateSpace:
 # Bottleneck communication heights
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
+def _minimax_heights(space: StateSpace, roots, ceiling=None, avoid=None,
+                     stop=None) -> np.ndarray:
+    """Per-state min over paths from ``roots`` of the max energy (inclusive
+    of endpoints); -1 where no path stays at or below ``ceiling`` and
+    outside the ``avoid`` mask.
 
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return int(root)
-
-    def union(self, x: int, y: int) -> tuple[int, int]:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-        return rx, ry
+    States are released level by level in order of energy.  At level h the
+    released states touching an already reached state, plus the roots at
+    h, seed a flood fill over the released states, which marks everything
+    it reaches with h.  With a ``stop`` index array the sweep ends after
+    the first level that reaches one of its states.
+    """
+    E = space.energies
+    order, levels, bounds = space.energy_levels()
+    mt = space.move_table()
+    height = np.full(space.n_states, -1, dtype=np.int64)
+    is_root = np.zeros(space.n_states, dtype=bool)
+    is_root[roots] = True
+    for j, level in enumerate(levels):
+        if ceiling is not None and level > ceiling:
+            break
+        new = order[bounds[j]:bounds[j + 1]]
+        if avoid is not None:
+            new = new[~avoid[new]]
+        frontier = new[is_root[new] | (height[mt[new]] >= 0).any(axis=1)]
+        while len(frontier):
+            height[frontier] = level
+            nxt = np.unique(mt[frontier].ravel())
+            nxt = nxt[(E[nxt] <= level) & (height[nxt] < 0)]
+            if avoid is not None:
+                nxt = nxt[~avoid[nxt]]
+            frontier = nxt
+        if stop is not None and (height[stop] >= 0).any():
+            break
+    return height
 
 
 def comm_height(space: StateSpace, source, target, avoid=None):
@@ -188,39 +219,9 @@ def comm_height(space: StateSpace, source, target, avoid=None):
     blocked = _as_mask(space.n_states, avoid)
     if blocked is not None and (blocked[src].any() or blocked[dst].any()):
         raise ValueError("an endpoint lies in the avoid set")
-
-    E = space.energies
-    order = np.argsort(E, kind="stable")
-    mt = space.move_table()
-    uf = _UnionFind(space.n_states)
-    active = np.zeros(space.n_states, dtype=bool)
-    in_src = np.zeros(space.n_states, dtype=bool)
-    in_dst = np.zeros(space.n_states, dtype=bool)
-    in_src[src] = True
-    in_dst[dst] = True
-
-    pos = 0
-    n = space.n_states
-    while pos < n:
-        e = E[order[pos]]
-        bucket_end = pos
-        while bucket_end < n and E[order[bucket_end]] == e:
-            s = int(order[bucket_end])
-            bucket_end += 1
-            if blocked is not None and blocked[s]:
-                continue
-            active[s] = True
-            for t in mt[s]:
-                if active[t]:
-                    uf.union(s, int(t))
-        # connectivity check after completing the bucket
-        roots_src = {uf.find(int(s)) for s in src if active[s]}
-        if roots_src:
-            for t in dst:
-                if active[t] and uf.find(int(t)) in roots_src:
-                    return int(e)
-        pos = bucket_end
-    return None
+    height = _minimax_heights(space, src, avoid=blocked, stop=dst)[dst]
+    reached = height[height >= 0]
+    return int(reached.min()) if len(reached) else None
 
 
 def _as_mask(n: int, subset) -> np.ndarray | None:
@@ -269,19 +270,7 @@ def neighborhood(space: StateSpace, roots, ceiling: int, avoid=None) -> CeilingS
     blocked = _as_mask(space.n_states, avoid)
     if blocked is not None and blocked[roots].any():
         raise ValueError("a root lies in the avoid set")
-    E = space.energies
-    allowed = E <= ceiling
-    if blocked is not None:
-        allowed &= ~blocked
-    mask = np.zeros(space.n_states, dtype=bool)
-    frontier = roots[allowed[roots]]
-    mask[frontier] = True
-    mt = space.move_table()
-    while len(frontier):
-        nxt = np.unique(mt[frontier].ravel())
-        nxt = nxt[allowed[nxt] & ~mask[nxt]]
-        mask[nxt] = True
-        frontier = nxt
+    mask = _minimax_heights(space, roots, ceiling=ceiling, avoid=blocked) >= 0
     return CeilingSet(ceiling=ceiling, mask=mask)
 
 
@@ -292,64 +281,12 @@ def neighborhood(space: StateSpace, roots, ceiling: int, avoid=None) -> CeilingS
 def valley_depths(space: StateSpace) -> np.ndarray:
     """Per-state ``Phi(sigma, ground states) - H(sigma)``.
 
-    Multi-source bottleneck search: states are activated in nondecreasing
-    energy; a state's communication height to the ground set is the level
-    at which its component first contains a ground state.
+    The minimax heights from the ground states, less the energies.
     """
-    E = space.energies
-    order = np.argsort(E, kind="stable")
-    mt = space.move_table()
-    n = space.n_states
-    uf = _UnionFind(n)
-    active = np.zeros(n, dtype=bool)
-    ground = np.zeros(n, dtype=bool)
-    for s in space.ground_states().values():
-        ground[s] = True
-    has_ground: dict[int, bool] = {}
-    pending: dict[int, list[int]] = {}
-    phi = np.full(n, -1, dtype=np.int64)
-
-    def settle(root: int, level: int) -> None:
-        for s in pending.pop(root, []):
-            phi[s] = level
-
-    pos = 0
-    while pos < n:
-        e = int(E[order[pos]])
-        while pos < n and E[order[pos]] == e:
-            s = int(order[pos])
-            pos += 1
-            active[s] = True
-            if ground[s]:
-                has_ground[s] = True
-                phi[s] = e
-            else:
-                has_ground[s] = False
-                pending[s] = [s]
-            for t in mt[s]:
-                t = int(t)
-                if not active[t]:
-                    continue
-                rs, rt = uf.find(s), uf.find(t)
-                if rs == rt:
-                    continue
-                gs, gt = has_ground[rs], has_ground[rt]
-                uf.parent[rt] = rs
-                if gs and not gt:
-                    settle(rt, e)
-                elif gt and not gs:
-                    settle(rs, e)
-                    has_ground[rs] = True
-                elif not gs and not gt:
-                    ps, pt = pending.get(rs, []), pending.pop(rt, [])
-                    if len(ps) < len(pt):
-                        ps, pt = pt, ps
-                    ps.extend(pt)
-                    pending[rs] = ps
-                has_ground.pop(rt, None)
+    phi = _minimax_heights(space, list(space.ground_states().values()))
     if (phi < 0).any():  # pragma: no cover - irreducible spaces always settle
         raise RuntimeError("disconnected state space")
-    return phi - E
+    return phi - space.energies
 
 
 # ---------------------------------------------------------------------------
@@ -437,36 +374,6 @@ class TypicalSets:
     warnings: list = field(default_factory=list)
 
 
-def _regular_codes(space: StateSpace, a: int, b: int, i: int) -> list[int]:
-    """State indices of all slab configurations with an ``i``-floor b-band
-    (including axis-swap images when extents coincide)."""
-    spec = space.spec
-    M = spec.M
-    out = set()
-    if i == 0:
-        out.add(space.index_of(monochrome(spec, a)))
-        return sorted(out)
-    if i == M:
-        out.add(space.index_of(monochrome(spec, b)))
-        return sorted(out)
-    starts = range(1, M + 1) if spec.boundary == PERIODIC else None
-    if starts is None:
-        # open boundary: bands anchored at either end of the box
-        arcs = [range(1, i + 1), range(M - i + 1, M + 1)]
-    else:
-        arcs = [
-            [(s - 1 + j) % M + 1 for j in range(i)] for s in starts
-        ]
-    for arc in arcs:
-        arr = np.full((M, spec.L, spec.K), a, dtype=np.int16)
-        for m in arc:
-            arr[m - 1] = b
-        sigma = SpinConfig(spec, arr.ravel())
-        for img in sigma.upsilon_orbit():
-            out.add(space.index_of(img))
-    return sorted(out)
-
-
 def typical_sets(space: StateSpace, A, B, gamma: int | None = None) -> TypicalSets:
     """Build the saddle-plateau set families on an enumerable instance.
 
@@ -475,8 +382,6 @@ def typical_sets(space: StateSpace, A, B, gamma: int | None = None) -> TypicalSe
     ceiling of the instance).  Instances whose height window collapses
     (``M < 2*m_K + 1``) are built literally with a recorded warning.
     """
-    from . import canon  # local import to avoid a module cycle
-
     spec = space.spec
     if not isinstance(spec, LatticeSpec):
         raise TypeError("typical_sets expects a 3D state space")
@@ -503,10 +408,13 @@ def typical_sets(space: StateSpace, A, B, gamma: int | None = None) -> TypicalSe
     # Regular (slab) families and gateway slices
     R: dict[int, np.ndarray] = {}
     for i in range(0, M + 1):
-        codes: set[int] = set()
-        for a in A:
-            for b in B:
-                codes.update(_regular_codes(space, a, b, i))
+        codes = {
+            space.index_of(img)
+            for a in A
+            for b in B
+            for P in canon.arcs_of_length(M, i, spec.boundary)
+            for img in canon.build_regular(spec, a, b, P).upsilon_orbit()
+        }
         R[i] = np.array(sorted(codes), dtype=np.int64)
 
     G_slices: dict[int, np.ndarray] = {}

@@ -29,6 +29,7 @@ __all__ = [
     "Lattice1D",
     "Site",
     "SpinConfig",
+    "axis_permutations",
     "monochrome",
     "is_ground",
 ]
@@ -273,6 +274,24 @@ class Site:
 # Configurations
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def axis_permutations(extents: tuple[int, ...]) -> tuple[str, ...]:
+    """Labels of the array-axis permutations that preserve ``extents``.
+
+    A label lists the source axis of each result axis (``"012..."`` is the
+    identity); labels come in lexicographic order, identity first.
+    """
+    return tuple(
+        "".join(map(str, perm))
+        for perm in permutations(range(len(extents)))
+        if all(extents[p] == e for p, e in zip(perm, extents))
+    )
+
+
+#: ``SpinConfig.permute`` swap name -> (axis-permutation label, requirement)
+_SWAPS = {"12": ("021", "K = L"), "23": ("102", "L = M"), "13": ("210", "K = M")}
+
+
 class SpinConfig:
     """An immutable full spin assignment on a lattice spec.
 
@@ -402,31 +421,33 @@ class SpinConfig:
 
     # -- symmetry ----------------------------------------------------------
 
+    def transpose(self, label: str) -> "SpinConfig":
+        """Image under the :attr:`array3d` axis permutation ``label``.
+
+        ``label`` names the source axis of each result axis (``"021"``
+        swaps the l and k axes) and must be one of
+        :func:`axis_permutations` of the extents.
+        """
+        arr = self.array3d
+        if label not in axis_permutations(arr.shape):
+            if sorted(str(label)) != ["0", "1", "2"]:
+                raise ValueError(f"bad orientation label {label!r}")
+            raise ValueError(f"orientation {label!r} not allowed on this lattice")
+        perm = [int(c) for c in label]
+        return SpinConfig(self.spec, np.ascontiguousarray(arr.transpose(perm)).ravel())
+
     def permute(self, swap: str) -> "SpinConfig":
         """Axis-swap image; ``swap`` in {"12", "23", "13"}.
 
         Allowed only when the two swapped extents are equal (the swap is
         then an energy-preserving involution).
         """
-        spec = self.spec
-        if not isinstance(spec, LatticeSpec):
-            raise TypeError("permute requires a 3D LatticeSpec")
-        arr = self.array3d
-        if swap == "12":
-            if spec.K != spec.L:
-                raise ValueError("axis swap 12 requires K = L")
-            out = arr.transpose(0, 2, 1)
-        elif swap == "23":
-            if spec.L != spec.M:
-                raise ValueError("axis swap 23 requires L = M")
-            out = arr.transpose(1, 0, 2)
-        elif swap == "13":
-            if spec.K != spec.M:
-                raise ValueError("axis swap 13 requires K = M")
-            out = arr.transpose(2, 1, 0)
-        else:
+        if swap not in _SWAPS:
             raise ValueError(f"unknown swap {swap!r}")
-        return SpinConfig(spec, np.ascontiguousarray(out).ravel())
+        label, needs = _SWAPS[swap]
+        if label not in axis_permutations(self.array3d.shape):
+            raise ValueError(f"axis swap {swap} requires {needs}")
+        return self.transpose(label)
 
     def upsilon_orbit(self) -> set["SpinConfig"]:
         """Closure of ``{self}`` under all allowed axis swaps.
@@ -435,21 +456,7 @@ class SpinConfig:
         pair of extents coincides; the full 6-permutation closure when
         K = L = M.
         """
-        spec = self.spec
-        if not isinstance(spec, LatticeSpec):
-            raise TypeError("upsilon_orbit requires a 3D LatticeSpec")
-        K, L, M = spec.dims
-        if K == L == M:
-            arr = self.array3d
-            out = set()
-            for perm in permutations((0, 1, 2)):
-                out.add(SpinConfig(spec, np.ascontiguousarray(arr.transpose(perm)).ravel()))
-            return out
-        if K == L:
-            return {self, self.permute("12")}
-        if L == M:
-            return {self, self.permute("23")}
-        return {self}
+        return {self.transpose(p) for p in axis_permutations(self.array3d.shape)}
 
     # -- serialization -----------------------------------------------------
 

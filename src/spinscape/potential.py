@@ -65,15 +65,6 @@ class WeightedChain:
     cond: np.ndarray
     mu: np.ndarray
 
-    def rates_from(self, x: int) -> dict:
-        out = {}
-        for s, d, c in zip(self.src, self.dst, self.cond):
-            if s == x:
-                out[int(d)] = out.get(int(d), 0.0) + c / self.mu[x]
-            elif d == x:
-                out[int(s)] = out.get(int(s), 0.0) + c / self.mu[x]
-        return out
-
     def laplacian(self) -> sp.csr_matrix:
         """The symmetric conductance Laplacian ``L`` with
         ``(L f)(x) = sum_y c_xy (f(x) - f(y))``."""

@@ -24,6 +24,11 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="limit"):
             enumerate_space(spec, limit=2**26)
 
+    def test_refusal_over_int32_indices(self):
+        spec = LatticeSpec(2, 2, 8, 2, "open")  # 2^32 states
+        with pytest.raises(ValueError, match="int32"):
+            enumerate_space(spec, limit=2**40)
+
     def test_energies_match_direct(self, space_223_open):
         space = space_223_open
         rng = np.random.default_rng(0)
@@ -104,6 +109,78 @@ class TestNeighborhood:
         assert (space.energies[cs.states] <= 5).all()
         # the other ground is not reachable below the barrier (6)
         assert g[2] not in cs
+
+
+def _oracle_components(space, ceiling, avoid):
+    """Component labels of the graph restricted to E <= ceiling and outside
+    ``avoid``, by scipy's connected_components (-1 off the graph)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    allowed = (space.energies <= ceiling) & ~avoid
+    src, dst = space.edges()
+    keep = allowed[src] & allowed[dst]
+    n = space.n_states
+    graph = csr_matrix((np.ones(keep.sum()), (src[keep], dst[keep])), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    return np.where(allowed, labels, -1)
+
+
+class TestBottleneckOracle:
+    """Checks the shared minimax engine against scipy's connected components."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[LatticeSpec(2, 2, 3, 2, "open"), LatticeSpec(2, 2, 2, 3, "open")],
+        ids=["223-q2", "222-q3"],
+    )
+    def space(self, request):
+        return enumerate_space(request.param)
+
+    def _cases(self, space, seed):
+        rng = np.random.default_rng(seed)
+        n = space.n_states
+        low = np.flatnonzero(space.energies <= 4)  # roots in separate valleys
+        for _ in range(6):
+            roots = np.unique([*rng.choice(low, 2), rng.integers(n)])
+            targets = np.unique([rng.choice(low), rng.integers(n)])
+            avoid = rng.random(n) < rng.choice([0.0, 0.05, 0.2])
+            avoid[roots] = avoid[targets] = False
+            yield roots, targets, avoid
+
+    def test_neighborhood_is_union_of_root_components(self, space):
+        E = space.energies
+        for roots, _, avoid in self._cases(space, 11):
+            for ceiling in range(int(E.max()) + 1):
+                labels = _oracle_components(space, ceiling, avoid)
+                root_labels = labels[roots][labels[roots] >= 0]
+                want = np.isin(labels, root_labels) & (labels >= 0)
+                got = neighborhood(space, roots, ceiling, avoid=avoid if avoid.any() else None).mask
+                assert np.array_equal(got, want), ceiling
+
+    def test_comm_height_is_least_joining_ceiling(self, space):
+        E = space.energies
+        for roots, targets, avoid in self._cases(space, 12):
+            want = None
+            for ceiling in range(int(E.max()) + 1):
+                labels = _oracle_components(space, ceiling, avoid)
+                root_labels = labels[roots][labels[roots] >= 0]
+                if np.isin(labels[targets], root_labels).any():
+                    want = ceiling
+                    break
+            got = comm_height(space, roots, targets, avoid=avoid if avoid.any() else None)
+            assert got == want
+
+    def test_valley_depths_from_components(self, space):
+        E = space.energies
+        grounds = list(space.ground_states().values())
+        none = np.zeros(space.n_states, dtype=bool)
+        phi = np.full(space.n_states, -1)
+        for ceiling in range(int(E.max()) + 1):
+            labels = _oracle_components(space, ceiling, none)
+            joined = np.isin(labels, labels[grounds]) & (labels >= 0)
+            phi[joined & (phi < 0)] = ceiling
+        assert np.array_equal(valley_depths(space), phi - E)
 
 
 class TestValleyDepths:

@@ -11,6 +11,7 @@ from spinscape.lattice import (
     LatticeSpec,
     Site,
     SpinConfig,
+    axis_permutations,
     is_ground,
     monochrome,
 )
@@ -116,6 +117,21 @@ class TestSymmetries:
         c = random_config(spec, 3)
         with pytest.raises(ValueError):
             c.permute("12")
+
+    def test_axis_permutations(self):
+        assert axis_permutations((5, 4, 3)) == ("012",)
+        assert axis_permutations((5, 3, 3)) == ("012", "021")
+        assert axis_permutations((5, 5, 3)) == ("012", "102")
+        assert axis_permutations((3, 3, 3)) == ("012", "021", "102", "120", "201", "210")
+
+    def test_transpose_labels(self):
+        spec = LatticeSpec(3, 3, 5, 2, "periodic")
+        c = random_config(spec, 8)
+        assert c.transpose("021") == c.permute("12")
+        with pytest.raises(ValueError, match="not allowed"):
+            c.transpose("102")
+        with pytest.raises(ValueError, match="bad orientation"):
+            c.transpose("12")
 
     def test_permute_involution(self):
         spec = LatticeSpec(3, 3, 5, 2, "periodic")
