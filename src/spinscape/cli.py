@@ -248,11 +248,11 @@ def cmd_simulate(cfg: dict) -> int:
     rows = []
     summaries = {}
     lattice_str = "x".join(str(d) for d in cfg["lattice"])
+    budget = cfg.get("step_budget", 50_000_000)
     for bi, beta in enumerate(betas):
         times, steps = dynamics.sample_hitting_times(
             space, start, target_mask, beta, n_samples,
-            seed=seed + bi, return_steps=True,
-            max_steps=cfg.get("step_budget", 50_000_000),
+            seed=seed + bi, return_steps=True, max_steps=budget,
         )
         for j in range(n_samples):
             rows.append((seed + bi, beta, lattice_str, times[j], int(steps[j])))
@@ -266,6 +266,8 @@ def cmd_simulate(cfg: dict) -> int:
             "variance": float(times.var(ddof=1)),
             "exact_mean": exact,
             "ks_exp1": _ks_exp1(times),
+            "jumps": int(steps.sum()),
+            "step_budget": budget,
         }
         _assert(
             report,

@@ -142,6 +142,11 @@ class TestSimulate:
             "seed,beta,lattice,hitting_time_continuous_units,steps_count"
         )
         assert len(csv_lines_1.splitlines()) == 61
+        # the summary counts the embedded jumps against the step budget
+        summary = json.load(open(out + ".json"))["summaries"]["2.0"]
+        steps = [int(line.rsplit(",", 1)[1]) for line in csv_lines_1.splitlines()[1:]]
+        assert summary["jumps"] == sum(steps) > 0
+        assert summary["step_budget"] == 50_000_000
         code = main(argv)
         capsys.readouterr()
         assert open(out + ".csv").read() == csv_lines_1
