@@ -250,10 +250,13 @@ def cmd_simulate(cfg: dict) -> int:
     lattice_str = "x".join(str(d) for d in cfg["lattice"])
     budget = cfg.get("step_budget", 50_000_000)
     for bi, beta in enumerate(betas):
-        times, steps = dynamics.sample_hitting_times(
-            space, start, target_mask, beta, n_samples,
-            seed=seed + bi, return_steps=True, max_steps=budget,
-        )
+        try:
+            times, steps = dynamics.sample_hitting_times(
+                space, start, target_mask, beta, n_samples,
+                seed=seed + bi, return_steps=True, max_steps=budget,
+            )
+        except RuntimeError as err:  # the step budget ran out
+            return _budget_error(report, err, cfg.get("out"))
         for j in range(n_samples):
             rows.append((seed + bi, beta, lattice_str, times[j], int(steps[j])))
         exact = potential.mean_hitting_exact(

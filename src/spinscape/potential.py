@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .canon import classify_gateway, mk_mK
 from .landscape import StateSpace, TypicalSets, comm_height, enumerate_space, neighborhood
@@ -68,20 +69,27 @@ class WeightedChain:
     def laplacian(self) -> sp.csr_matrix:
         """The symmetric conductance Laplacian ``L`` with
         ``(L f)(x) = sum_y c_xy (f(x) - f(y))``."""
-        i = np.concatenate([self.src, self.dst])
-        j = np.concatenate([self.dst, self.src])
-        c = np.concatenate([self.cond, self.cond])
-        off = sp.coo_matrix((-c, (i, j)), shape=(self.n, self.n)).tocsr()
-        deg = -np.asarray(off.sum(axis=1)).ravel()
-        return (off + sp.diags(deg)).tocsr()
+        return self._laplacian_on(np.ones(self.n, dtype=bool)).tocsr()
+
+    def _laplacian_on(self, keep: np.ndarray) -> sp.csc_matrix:
+        """``L`` restricted to the boolean mask ``keep``: off-diagonals from
+        the edges with both ends kept, the full degree on the diagonal."""
+        pos = np.cumsum(keep) - 1
+        both = keep[self.src] & keep[self.dst]
+        i, j, c = pos[self.src[both]], pos[self.dst[both]], self.cond[both]
+        d, deg = pos[keep], self._onto_ends(self.cond, self.cond)[keep]
+        rows, cols = np.concatenate([i, j, d]), np.concatenate([j, i, d])
+        return sp.csc_matrix((np.concatenate([-c, -c, deg]), (rows, cols)), shape=(len(d),) * 2)
+
+    def _onto_ends(self, at_src: np.ndarray, at_dst: np.ndarray) -> np.ndarray:
+        """Sum ``at_src`` onto each edge's source and ``at_dst`` onto its destination."""
+        ends = np.concatenate([self.src, self.dst])
+        return np.bincount(ends, np.concatenate([at_src, at_dst]), minlength=self.n)
 
     def generator_apply(self, f: np.ndarray) -> np.ndarray:
         """``(L_gen f)(x) = sum_y r(x,y) (f(y) - f(x))``."""
-        out = np.zeros(self.n)
-        df = f[self.dst] - f[self.src]
-        np.add.at(out, self.src, self.cond * df)
-        np.add.at(out, self.dst, -self.cond * df)
-        return out / self.mu
+        flux = self.cond * (f[self.dst] - f[self.src])
+        return self._onto_ends(flux, -flux) / self.mu
 
 
 def chain_from_space(space: StateSpace, beta: float) -> WeightedChain:
@@ -105,9 +113,7 @@ def dirichlet(space_or_chain, f: np.ndarray, beta: float | None = None) -> float
 
     Accepts an enumerated space plus ``beta``, or a prebuilt chain.
     """
-    chain = _as_chain(space_or_chain, beta)
-    df = f[chain.dst] - f[chain.src]
-    return float(np.sum(chain.cond * df * df))
+    return dirichlet_bilinear(_as_chain(space_or_chain, beta), f, f)
 
 
 def dirichlet_bilinear(chain: WeightedChain, f: np.ndarray, g: np.ndarray) -> float:
@@ -139,61 +145,55 @@ def _solve_dirichlet_problem(
     chain: WeightedChain, ones_set, zeros_set, rhs_extra: np.ndarray | None = None
 ) -> np.ndarray:
     """Solve ``L f = rhs`` off the boundary with ``f = 1`` on ``ones_set``
-    and ``f = 0`` on ``zeros_set`` (conductance-Laplacian formulation,
-    sparse direct solve plus extended-precision iterative refinement)."""
+    and ``f = 0`` on ``zeros_set`` (conductance-Laplacian formulation, one
+    solver branch chosen by size, extended-precision iterative refinement).
+
+    Raises ``RuntimeError`` when a free state has zero total conductance
+    (its conductances underflowed), when the dense Cholesky factorization
+    fails or when conjugate gradients do not converge; no other solver runs.
+    """
     ones_set = np.atleast_1d(np.asarray(ones_set, dtype=np.int64))
     zeros_set = np.atleast_1d(np.asarray(zeros_set, dtype=np.int64))
     if len(np.intersect1d(ones_set, zeros_set)):
         raise ValueError("boundary sets must be disjoint")
-    n = chain.n
-    fixed = np.zeros(n, dtype=bool)
-    fixed[ones_set] = True
-    fixed[zeros_set] = True
-    free = np.flatnonzero(~fixed)
-    if len(free) == 0:
-        f = np.zeros(n)
-        f[ones_set] = 1.0
+    free = np.ones(chain.n, dtype=bool)
+    free[np.concatenate([ones_set, zeros_set])] = False
+    f = np.zeros(chain.n)
+    f[ones_set] = 1.0
+    if not free.any():
         return f
-    pos = -np.ones(n, dtype=np.int64)
-    pos[free] = np.arange(len(free))
-
-    L = chain.laplacian().tocsr()
-    A = L[free][:, free].tocsc()
-    ones_mask = np.zeros(n, dtype=bool)
-    ones_mask[ones_set] = True
-    b = np.zeros(len(free))
-    # contributions of the f=1 boundary: sum of conductances into ones_set
-    for s_arr, d_arr in ((chain.src, chain.dst), (chain.dst, chain.src)):
-        sel = (~fixed[s_arr]) & ones_mask[d_arr]
-        np.add.at(b, pos[s_arr[sel]], chain.cond[sel])
+    A = chain._laplacian_on(free)
+    m, diag = A.shape[0], A.diagonal()
+    n_isolated = int(np.count_nonzero(diag == 0.0))
+    if n_isolated:
+        raise RuntimeError(f"{n_isolated} of {m} free states have zero total conductance "
+                           "(underflowed); the Dirichlet problem is singular")
+    # the f = 1 boundary enters through the conductances into ones_set
+    b = chain._onto_ends(chain.cond * f[chain.dst], chain.cond * f[chain.src])[free]
     if rhs_extra is not None:
         b = b + rhs_extra[free]
 
     # State-space graphs are expander-like, so sparse LU suffers near-total
-    # fill-in; a dense Cholesky factorization is faster up to ~10^4 states.
-    solve = None
-    if A.shape[0] <= 12_000:
-        from scipy.linalg import LinAlgError, cho_factor, cho_solve
-
+    # fill-in; a dense Cholesky factorization is faster up to ~10^4 states,
+    # factored in place in its F-ordered array.
+    if m <= 12_000:
         try:
-            factor = cho_factor(A.toarray(), lower=True)
-            solve = lambda rhs: cho_solve(factor, rhs)  # noqa: E731
-        except LinAlgError:  # extreme conductance ratios: fall through
-            solve = None
-    if solve is None:
-        # Large instances: sparse LU suffers near-total fill-in on these
-        # expander-like graphs, but the Jacobi-scaled system has the
-        # clustered Metropolis spectrum and conjugate gradients converge
-        # fast and accurately.
-        dh = 1.0 / np.sqrt(A.diagonal())
+            factor = cho_factor(A.toarray(order="F"), lower=True, overwrite_a=True)
+        except LinAlgError as err:
+            raise RuntimeError(f"dense Cholesky failed on {m} unknowns: {err}") from err
+        solve = lambda rhs: cho_solve(factor, rhs)  # noqa: E731
+    else:
+        # the Jacobi-scaled system has the clustered Metropolis spectrum, so
+        # conjugate gradients converge fast and accurately
+        dh = 1.0 / np.sqrt(diag)
         As = (sp.diags(dh) @ A @ sp.diags(dh)).tocsr()
 
-        def solve(rhs, _As=As, _dh=dh):
-            y, info = spla.cg(_As, rhs * _dh, rtol=1e-15, atol=0.0, maxiter=200_000)
-            if info != 0:
-                lu = spla.splu(A.tocsc())
-                return lu.solve(rhs)
-            return y * _dh
+        def solve(rhs):
+            y, info = spla.cg(As, rhs * dh, rtol=1e-15, atol=0.0, maxiter=200_000)
+            if info != 0:  # the iteration count reached
+                raise RuntimeError(f"conjugate gradients did not converge on {m} "
+                                   f"unknowns in {info} iterations")
+            return y * dh
 
     x = solve(b)
     # iterative refinement with extended-precision residuals
@@ -205,9 +205,7 @@ def _solve_dirichlet_problem(
         x = x + corr
         if np.max(np.abs(corr)) <= 1e-300 + 1e-16 * np.max(np.abs(x)):
             break
-    f = np.zeros(n)
     f[free] = x
-    f[ones_set] = 1.0
     return f
 
 
@@ -234,7 +232,9 @@ def mean_hitting_exact(
     ``method="capacity"``: ``(1/Cap) * sum_x mu(x) h(x)`` with ``h`` the
     equilibrium potential of ``({s}, target)``.  ``method="direct"``:
     solve the mean-hitting linear system.  The two agree to high relative
-    accuracy on well-conditioned instances.
+    accuracy on well-conditioned instances.  Either route raises
+    ``RuntimeError`` when its solve fails (see ``_solve_dirichlet_problem``),
+    as the direct route's dense factorization does at large ``beta``.
     """
     chain = _as_chain(space_or_chain, beta)
     target = np.atleast_1d(np.asarray(target, dtype=np.int64))

@@ -161,6 +161,18 @@ class TestSimulate:
         assert rep["error"]["type"] == "budget-refusal"
         assert "limit" in rep["error"]["message"]
 
+    def test_step_budget_refusal_structured(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPINSCAPE_STEP_BUDGET", "100")
+        code, rep = run(
+            capsys,
+            "simulate", "--lattice", "2x2x3", "--boundary", "open", "--q", "2",
+            "--beta", "2", "--seed", "5", "--n-samples", "60",
+        )
+        assert code == 1
+        assert rep["error"]["type"] == "budget-refusal"
+        assert "step budget 100 exceeded" in rep["error"]["message"]
+        assert "summaries" not in rep
+
 
 class TestCapacityKappaEnumerate:
     def test_capacity(self, capsys):

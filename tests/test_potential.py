@@ -90,6 +90,26 @@ class TestCapacityAndHitting:
         assert abs(slope - 6.0) < 0.5
 
 
+class TestSolverRefusals:
+    """A failed solve raises; it never switches solver or returns garbage."""
+
+    @pytest.fixture(scope="class")
+    def space_222_open(self):
+        return enumerate_space(LatticeSpec(2, 2, 2, 2, "open"))
+
+    def test_direct_route_failed_factorization(self, space_222_open):
+        # the direct system is numerically indefinite at beta=40
+        g = space_222_open.ground_states()
+        with pytest.raises(RuntimeError, match="dense Cholesky failed on 255 unknowns"):
+            pt.mean_hitting_exact(space_222_open, g[1], [g[2]], 40.0, "direct")
+
+    def test_underflowed_conductances(self, space_222_open):
+        # beta * E_max = 840 > 745: the top states' conductances are all 0.0
+        g = space_222_open.ground_states()
+        with pytest.raises(RuntimeError, match="2 of 254 free states have zero total"):
+            pt.capacity(space_222_open, [g[1]], [g[2]], 70.0)
+
+
 class TestSpectralGap:
     def test_dense_vs_variational(self, space_223_open):
         gd = pt.spectral_gap(space_223_open, 3.0, method="dense")
