@@ -157,8 +157,14 @@ def _solve_dirichlet_problem(
     chain: WeightedChain, ones_set, zeros_set, rhs_extra: np.ndarray | None = None
 ) -> np.ndarray:
     """Solve ``L f = rhs`` off the boundary with ``f = 1`` on ``ones_set``
-    and ``f = 0`` on ``zeros_set`` (conductance-Laplacian formulation, one
-    solver branch chosen by size, extended-precision iterative refinement).
+    and ``f = 0`` on ``zeros_set`` (conductance-Laplacian formulation).
+
+    One solver branch runs, chosen by the number ``m`` of free states: a
+    dense Cholesky factorization up to 1,000 unknowns, Jacobi-scaled
+    conjugate gradients above, capped at ``m`` iterations (the bound at
+    which CG terminates in exact arithmetic).  Either is followed by at
+    most three rounds of iterative refinement on extended-precision
+    residuals; CG solves each correction to a relative residual of 1e-8.
 
     Raises ``RuntimeError`` when a free state has zero total conductance
     (its conductances underflowed), when the dense Cholesky factorization
@@ -185,35 +191,41 @@ def _solve_dirichlet_problem(
     if rhs_extra is not None:
         b = b + rhs_extra[free]
 
-    # State-space graphs are expander-like, so sparse LU suffers near-total
-    # fill-in; a dense Cholesky factorization is faster up to ~10^4 states,
-    # factored in place in its F-ordered array.
-    if m <= 12_000:
+    # CG already beats the dense factorization at 510 unknowns and by 40x
+    # at 4,094 (README, Performance notes).  Sparse LU is no option:
+    # state-space graphs are expander-like and fill in almost fully.
+    if m <= 1_000:
+        # factored in place in its F-ordered array
         try:
             factor = cho_factor(A.toarray(order="F"), lower=True, overwrite_a=True)
         except LinAlgError as err:
             raise RuntimeError(f"dense Cholesky failed on {m} unknowns: {err}") from err
-        solve = lambda rhs: cho_solve(factor, rhs, check_finite=False)  # noqa: E731
+        solve = lambda rhs, rtol: cho_solve(factor, rhs, check_finite=False)  # noqa: E731
     else:
         # the Jacobi-scaled system has the clustered Metropolis spectrum, so
-        # conjugate gradients converge fast and accurately
+        # conjugate gradients converge fast and accurately; A is symmetric,
+        # so its CSC arrays, scaled entry by entry, are the CSR arrays of
+        # D^-1/2 A D^-1/2
         dh = 1.0 / np.sqrt(diag)
-        As = (sp.diags(dh) @ A @ sp.diags(dh)).tocsr()
+        scaled = A.data * dh[A.indices] * np.repeat(dh, np.diff(A.indptr))
+        As = sp.csr_matrix((scaled, A.indices, A.indptr), shape=A.shape)
 
-        def solve(rhs):
-            y, info = spla.cg(As, rhs * dh, rtol=1e-15, atol=0.0, maxiter=200_000)
+        def solve(rhs, rtol):
+            y, info = spla.cg(As, rhs * dh, rtol=rtol, atol=0.0, maxiter=m)
             if info != 0:  # the iteration count reached
                 raise RuntimeError(f"conjugate gradients did not converge on {m} "
                                    f"unknowns in {info} iterations")
             return y * dh
 
-    x = solve(b)
-    # iterative refinement with extended-precision residuals
+    x = solve(b, 1e-15)
+    # iterative refinement with extended-precision residuals; a correction
+    # needs only modest relative accuracy: 1e-8 keeps the componentwise
+    # backward error below 2e-16, where 1e-6 and 1e-4 do not
     A_ld = A.astype(np.longdouble)
     b_ld = b.astype(np.longdouble)
     for _ in range(3):
         r = b_ld - A_ld @ x.astype(np.longdouble)
-        corr = solve(np.asarray(r, dtype=np.float64))
+        corr = solve(np.asarray(r, dtype=np.float64), 1e-8)
         x = x + corr
         if np.max(np.abs(corr)) <= 1e-300 + 1e-16 * np.max(np.abs(x)):
             break
@@ -246,7 +258,9 @@ def mean_hitting_exact(
     solve the mean-hitting linear system.  The two agree to high relative
     accuracy on well-conditioned instances.  Either route raises
     ``RuntimeError`` when its solve fails (see ``_solve_dirichlet_problem``),
-    as the direct route's dense factorization does at large ``beta``.
+    as the direct route does at large ``beta``: its dense factorization
+    fails up to 1,000 unknowns, and above that conjugate gradients do not
+    converge.
     """
     chain = _as_chain(space_or_chain, beta)
     target = np.atleast_1d(np.asarray(target, dtype=np.int64))

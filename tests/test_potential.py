@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from spinscape import potential as pt
 from spinscape.landscape import comm_height, enumerate_space, typical_sets
@@ -109,6 +111,14 @@ class TestSolverRefusals:
         with pytest.raises(RuntimeError, match="2 of 254 free states have zero total"):
             pt.capacity(space_222_open, [g[1]], [g[2]], 70.0)
 
+    def test_direct_route_cg_nonconvergence(self, space_223_open):
+        # the 4,095-unknown direct system at beta=12 does not converge within
+        # the cap of one CG iteration per unknown
+        g = space_223_open.ground_states()
+        with pytest.raises(RuntimeError,
+                           match="conjugate gradients did not converge on 4095 unknowns"):
+            pt.mean_hitting_exact(space_223_open, g[1], [g[2]], 12.0, "direct")
+
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "ROADMAP item 3: the direct route's dense factorization succeeds at "
         "beta=20 but returns 1.207e43 against the capacity route's 3.360e42"))
@@ -117,6 +127,85 @@ class TestSolverRefusals:
         m_cap = pt.mean_hitting_exact(space_222_open, g[1], [g[2]], 20.0, "capacity")
         m_dir = pt.mean_hitting_exact(space_222_open, g[1], [g[2]], 20.0, "direct")
         assert abs(m_dir - m_cap) / m_cap < 1e-6
+
+
+def _reduced_system(chain, ones, zeros, rhs_extra=None):
+    """The Dirichlet problem's reduced Laplacian (sparse) and right-hand side,
+    assembled from the edge list, with the free states' indices.  Each sum
+    runs over the edges in the solver's order, so both build the same
+    system to the last bit and a backward error measures the solve alone."""
+    free = np.ones(chain.n, dtype=bool)
+    free[np.r_[ones, zeros].astype(np.int64)] = False
+    f = np.zeros(chain.n)
+    f[np.asarray(ones, dtype=np.int64)] = 1.0
+    idx = np.flatnonzero(free)
+    m = len(idx)
+    pos = np.full(chain.n, -1)
+    pos[idx] = np.arange(m)
+    s, d, c = chain.src, chain.dst, chain.cond
+    ends = np.r_[s, d]
+    deg = np.bincount(ends, np.r_[c, c], chain.n)
+    both = free[s] & free[d]
+    rows = np.r_[pos[s[both]], pos[d[both]], np.arange(m)]
+    cols = np.r_[pos[d[both]], pos[s[both]], np.arange(m)]
+    A = sp.csr_matrix((np.r_[-c[both], -c[both], deg[idx]], (rows, cols)), shape=(m, m))
+    b = np.bincount(ends, np.r_[c * f[d], c * f[s]], chain.n)[idx]
+    if rhs_extra is not None:
+        b = b + rhs_extra[idx]
+    return A, b, idx
+
+
+def _dense_oracle(A, b):
+    """Dense Cholesky solve plus one round of refinement on an
+    extended-precision residual; unrefined, the beta=4 direct solution is
+    off by 8e-11 relative."""
+    factor = sla.cho_factor(A.toarray())
+    x = sla.cho_solve(factor, b)
+    r = b - A.astype(np.longdouble) @ x.astype(np.longdouble)
+    return x + sla.cho_solve(factor, np.asarray(r, dtype=np.float64))
+
+
+class TestConjugateGradientBranch:
+    """Systems above 1,000 unknowns are solved by conjugate gradients."""
+
+    @pytest.mark.parametrize("beta", [2.0, 3.0, 4.0])
+    def test_dense_oracle_223(self, space_223_open, beta):
+        chain = pt.chain_from_space(space_223_open, beta)
+        g = space_223_open.ground_states()
+        A, b, idx = _reduced_system(chain, [g[1]], [g[2]])
+        h_or = np.zeros(chain.n)
+        h_or[g[1]] = 1.0
+        h_or[idx] = _dense_oracle(A, b)
+        h = pt.equilibrium_potential(chain, [g[1]], [g[2]])
+        assert np.max(np.abs(h - h_or)) <= 1e-12
+        cap_or = np.sum(chain.cond * (h_or[chain.dst] - h_or[chain.src]) ** 2)
+        assert pt.capacity(chain, [g[1]], [g[2]]) == pytest.approx(cap_or, rel=1e-10, abs=0)
+
+        A, b, idx = _reduced_system(chain, [], [g[2]], rhs_extra=chain.mu)
+        u_or = np.zeros(chain.n)
+        u_or[idx] = _dense_oracle(A, b)
+        m_dir = pt.mean_hitting_exact(chain, g[1], [g[2]], method="direct")
+        assert m_dir == pytest.approx(u_or[g[1]], rel=1e-10, abs=0)
+
+    def test_q3_symmetric_ground_state(self):
+        # by the 1<->2 spin symmetry the third ground state has h = 1/2 exactly
+        space = enumerate_space(LatticeSpec(2, 2, 2, 3, "open"))
+        g = space.ground_states()
+        h = pt.equilibrium_potential(space, [g[1]], [g[2]], 4.0)
+        assert abs(h[g[3]] - 0.5) <= 1e-9
+
+    @pytest.mark.parametrize("beta", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("name", ["space_223_open", "space_224_open"])
+    def test_componentwise_backward_error(self, request, name, beta):
+        space = request.getfixturevalue(name)
+        chain = pt.chain_from_space(space, beta)
+        g = space.ground_states()
+        for ones, zeros, extra in (([g[1]], [g[2]], None), ([], [g[2]], chain.mu)):
+            x = pt._solve_dirichlet_problem(chain, ones, zeros, extra)
+            A, b, idx = _reduced_system(chain, ones, zeros, extra)
+            A_ld, x_ld, b_ld = (v.astype(np.longdouble) for v in (A, x[idx], b))
+            err = np.abs(b_ld - A_ld @ x_ld) / (abs(A_ld) @ np.abs(x_ld) + np.abs(b_ld))
+            assert np.max(err) <= 2e-16
 
 
 class TestSpectralGap:
