@@ -11,6 +11,10 @@ Flags: ``--lattice KxLxM`` (or ``KxL`` for 2D), ``--boundary``, ``--q``,
 ``--config FILE`` (simple ``key = value`` lines mirroring the flags).
 Environment variables ``SPINSCAPE_STATE_LIMIT`` and ``SPINSCAPE_STEP_BUDGET``
 override the default budgets.
+
+``potential`` (which loads scipy) and ``dynamics`` are imported inside the
+commands that run them, ``simulate``, ``capacity`` and ``kappa``, so the
+others start with numpy alone.
 """
 
 from __future__ import annotations
@@ -25,22 +29,10 @@ import time
 
 import numpy as np
 
-from . import canon, dynamics, landscape, potential
-from .canon import (
-    FloorShape,
-    PathSeq,
-    TorusArc,
-    build_canonical,
-    canonical_path,
-    classify_gateway,
-    escape_path,
-    is_canonical,
-    mk_mK,
-)
-from .lattice import Lattice2D, LatticeSpec, OPEN, PERIODIC, SpinConfig, is_ground, monochrome
+from .canon import PathSeq, canonical_path, classify_gateway, escape_path, is_canonical
+from .lattice import Lattice2D, LatticeSpec, OPEN, PERIODIC, SpinConfig, is_ground
 from .landscape import (
     DEFAULT_STATE_LIMIT,
-    NON_REPRODUCIBLE_CLAIMS,
     barrier_report,
     comm_height,
     enumerate_space,
@@ -230,6 +222,8 @@ def _ks_exp1(samples: np.ndarray) -> float:
 
 def cmd_simulate(cfg: dict) -> int:
     """Seeded hitting-time ensemble; CSV samples plus a JSON summary."""
+    from . import dynamics, potential
+
     report = _report_skeleton("simulate", cfg)
     spec = _need_spec(cfg)
     betas = cfg.get("beta") or [3.0]
@@ -301,6 +295,8 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_capacity(cfg: dict) -> int:
     """Exact capacities, hitting times and test-function diagnostics."""
+    from . import potential
+
     report = _report_skeleton("capacity", cfg)
     spec = _need_spec(cfg)
     betas = cfg.get("beta") or [3.0]
@@ -347,6 +343,8 @@ def cmd_capacity(cfg: dict) -> int:
 
 def cmd_kappa(cfg: dict) -> int:
     """Emit the prefactor constants bundle."""
+    from . import potential
+
     report = _report_skeleton("kappa", cfg)
     spec = _need_spec(cfg)
     if not isinstance(spec, LatticeSpec):

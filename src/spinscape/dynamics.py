@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .energy import energy, flip_delta
 from .lattice import SpinConfig, is_ground
@@ -95,13 +94,15 @@ def gibbs(sigma: SpinConfig, beta: float) -> float:
 def partition_function(space, beta: float) -> float:
     """``Z = sum exp(-beta H)`` over an enumerated space.
 
-    ``space`` is anything exposing an integer ``energies`` array.  Computed
-    in the log domain when the energy range would underflow doubles.
+    ``space`` is anything exposing an integer ``energies`` array.  The sum
+    is shifted by the least energy ``E0``,
+    ``Z = exp(-beta E0) * sum exp(-beta (H - E0))``: every term is at most 1,
+    so none overflows, the ground states contribute exactly 1 each, and for
+    ``E0 = 0`` this is the plain sum term for term.
     """
     E = np.asarray(space.energies, dtype=np.float64)
-    if beta * E.max() > 600.0:
-        return float(math.exp(logsumexp(-beta * E)))
-    return float(np.exp(-beta * E).sum())
+    E0 = E.min()
+    return float(math.exp(-beta * E0) * np.exp(-beta * (E - E0)).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """CLI subcommands: reports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import spinscape
 from spinscape.cli import main
 
 
@@ -231,3 +235,54 @@ class TestConfigFile:
         )
         assert code == 0
         assert rep["barrier"]["lattice"]["L"] == 4
+
+
+# Runs in a fresh interpreter: the rest of the suite imports scipy, and a
+# module once in sys.modules would hide a regression here.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+
+import spinscape.cli, spinscape.dynamics, spinscape.landscape
+import spinscape.canon, spinscape.energy, spinscape.lattice
+from spinscape.cli import main
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv.split())
+
+
+imported = scipy_modules()
+runs = {name: [run(argv), scipy_modules()] for name, argv in [
+    ("barrier", "barrier --lattice 3x4 --boundary periodic --q 2"),
+    ("classify", "classify --lattice 3x3x4 --boundary periodic --q 2 "
+                 "--state-code " + str(sum(1 << i for i in range(18, 36)))),
+    ("paths", "paths --lattice 3x3x4 --boundary periodic --q 2 --kind canonical"),
+    ("enumerate", "enumerate --lattice 2x2x2 --boundary open --q 2"),
+    ("refusal", "enumerate --lattice 3x3x3 --boundary periodic --q 2"),
+    ("capacity", "capacity --lattice 2x2x2 --boundary open --q 2 --beta 2"),
+]}
+print(json.dumps({"import": imported, "runs": runs}))
+"""
+
+
+def test_scipy_loads_only_for_solver_commands():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(spinscape.__file__))
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    assert found["import"] == []
+    runs = found["runs"]
+    for name, want_code in (("barrier", 0), ("classify", 0), ("paths", 0),
+                            ("enumerate", 0), ("refusal", 1)):
+        assert runs[name] == [want_code, []], name
+    code, modules = runs["capacity"]
+    assert code == 0
+    assert "scipy.sparse" in modules  # the probe sees scipy when it loads

@@ -82,6 +82,18 @@ class TestKernel:
         z = dy.partition_function(space_223_open, 1000.0)
         assert z == pytest.approx(2.0, rel=1e-10)
 
+    def test_partition_function_positive_ground_energy(self):
+        # least energy 5, not 0: Z = 2e^-500 + e^-700 only if the shift is
+        # undone.  Z is ~1e-217, below pytest.approx's default absolute
+        # tolerance, so the relative bound is written out.
+        class Space:
+            energies = np.array([5, 5, 7])
+
+        z = dy.partition_function(Space(), 100.0)
+        want = math.fsum(math.exp(-100.0 * e) for e in (5, 5, 7))
+        assert want > 0
+        assert abs(z - want) <= 1e-12 * want
+
 
 class TestSimulation:
     def test_determinism(self):
