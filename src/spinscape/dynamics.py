@@ -244,9 +244,14 @@ def trace_transform(
     sojourns: list = []
     on_time = 0.0
     total = sample.hitting_time
-    current = sigma0
+    q = sigma0.spec.q
+    spins = sigma0.spins.tolist()
+    # count[a] sites hold spin a; a flip to a lands on ground iff all do
+    count = [0] * (q + 1)
+    for s in spins:
+        count[s] += 1
     prev_t = 0.0
-    g = is_ground(current)
+    g = is_ground(sigma0)
     for (t, x, a) in sample.events:
         dt = t - prev_t
         if g is not None:
@@ -255,8 +260,12 @@ def trace_transform(
                 sojourns[-1] = (g, sojourns[-1][1] + accel * dt)
             else:
                 sojourns.append((g, accel * dt))
-        current = current.flip_index(x, a)
-        g = is_ground(current)
+        if not 1 <= a <= q:
+            raise ValueError(f"spin {a} out of range [1, {q}]")
+        count[spins[x]] -= 1
+        count[a] += 1
+        spins[x] = a
+        g = a if count[a] == len(spins) else None
         prev_t = t
     off_fraction = 0.0 if total <= 0 else max(0.0, 1.0 - on_time / total)
     return TraceSample(

@@ -185,6 +185,7 @@ def _minimax_heights(space: StateSpace, roots, ceiling=None, avoid=None,
     order, levels, bounds = space.energy_levels()
     mt = space.move_table()
     height = np.full(space.n_states, -1, dtype=np.int64)
+    reached = np.zeros(space.n_states, dtype=bool)  # height >= 0, one byte a state
     is_root = np.zeros(space.n_states, dtype=bool)
     is_root[roots] = True
     for j, level in enumerate(levels):
@@ -193,15 +194,17 @@ def _minimax_heights(space: StateSpace, roots, ceiling=None, avoid=None,
         new = order[bounds[j]:bounds[j + 1]]
         if avoid is not None:
             new = new[~avoid[new]]
-        frontier = new[is_root[new] | (height[mt[new]] >= 0).any(axis=1)]
+        frontier = new[is_root[new] | reached[mt[new]].any(axis=1)]
         while len(frontier):
             height[frontier] = level
-            nxt = np.unique(mt[frontier].ravel())
-            nxt = nxt[(E[nxt] <= level) & (height[nxt] < 0)]
+            reached[frontier] = True
+            # filter before np.unique: most targets are reached or above level
+            nxt = mt[frontier].ravel()
+            keep = (E[nxt] <= level) & ~reached[nxt]
             if avoid is not None:
-                nxt = nxt[~avoid[nxt]]
-            frontier = nxt
-        if stop is not None and (height[stop] >= 0).any():
+                keep &= ~avoid[nxt]
+            frontier = np.unique(nxt[keep])
+        if stop is not None and reached[stop].any():
             break
     return height
 
@@ -214,14 +217,23 @@ def comm_height(space: StateSpace, source, target, avoid=None):
     state indices (as an iterable or boolean mask); returns ``None`` when
     the endpoints are disconnected under the restriction.
     """
-    src = np.atleast_1d(np.asarray(source, dtype=np.int64))
-    dst = np.atleast_1d(np.asarray(target, dtype=np.int64))
+    src = _state_indices(space, source, "source")
+    dst = _state_indices(space, target, "target")
     blocked = _as_mask(space.n_states, avoid)
     if blocked is not None and (blocked[src].any() or blocked[dst].any()):
         raise ValueError("an endpoint lies in the avoid set")
     height = _minimax_heights(space, src, avoid=blocked, stop=dst)[dst]
     reached = height[height >= 0]
     return int(reached.min()) if len(reached) else None
+
+
+def _state_indices(space: StateSpace, states, role: str) -> np.ndarray:
+    idx = np.atleast_1d(np.asarray(states, dtype=np.int64))
+    bad = idx[(idx < 0) | (idx >= space.n_states)]
+    if len(bad):
+        raise ValueError(
+            f"{role} index {int(bad[0])} outside [0, {space.n_states})")
+    return idx
 
 
 def _as_mask(n: int, subset) -> np.ndarray | None:
@@ -266,7 +278,7 @@ def neighborhood(space: StateSpace, roots, ceiling: int, avoid=None) -> CeilingS
     the ceiling alone yields the empty set).  States in ``avoid`` are never
     entered; roots inside ``avoid`` are rejected.
     """
-    roots = np.atleast_1d(np.asarray(roots, dtype=np.int64))
+    roots = _state_indices(space, roots, "root")
     blocked = _as_mask(space.n_states, avoid)
     if blocked is not None and blocked[roots].any():
         raise ValueError("a root lies in the avoid set")

@@ -132,6 +132,33 @@ class TestSimulation:
         assert 0.0 <= trace.off_ground_fraction <= 1.0
         assert trace.total_trace_time > 0
 
+    def test_trace_transform_matches_replay(self):
+        """Against a reference that rebuilds the configuration at each event."""
+        spec = LatticeSpec(2, 2, 2, 3, "open")
+        c = monochrome(spec, 1)
+        gamma, beta = 4, 1.0
+        sample = dy.simulate_hit(c, lambda s: False, beta=beta, seed=4, step_budget=3000)
+        accel = math.exp(gamma * beta)
+        sojourns, on_time, prev_t, cur = [], 0.0, 0.0, c
+        for (t, x, a) in sample.events:
+            g = is_ground(cur)
+            if g is not None:
+                on_time += t - prev_t
+                if sojourns and sojourns[-1][0] == g:
+                    sojourns[-1] = (g, sojourns[-1][1] + accel * (t - prev_t))
+                else:
+                    sojourns.append((g, accel * (t - prev_t)))
+            cur = cur.flip_index(x, a)
+            prev_t = t
+        trace = dy.trace_transform(sample, c, gamma=gamma, beta=beta)
+        assert len(sojourns) >= 3
+        assert trace.sojourns == sojourns
+        assert trace.total_trace_time == accel * on_time
+        assert trace.off_ground_fraction == max(0.0, 1.0 - on_time / sample.hitting_time)
+        bad = dy.TrajectorySample(seed=0, events=[(1.0, 0, 4)], hitting_time=2.0)
+        with pytest.raises(ValueError, match="spin 4 out of range"):
+            dy.trace_transform(bad, c, gamma=gamma, beta=beta)
+
 
 class TestEnsemble:
     def test_matches_exact_mean(self, space_223_open):

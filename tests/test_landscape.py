@@ -71,6 +71,16 @@ class TestCommHeight:
         with pytest.raises(ValueError):
             comm_height(space, g[1], g[2], avoid=[g[1]])
 
+    @pytest.mark.parametrize("past_end", [False, True], ids=["minus1", "n_states"])
+    def test_out_of_range_index_refused(self, space_223_open, past_end):
+        space = space_223_open
+        g = space.ground_states()
+        bad = space.n_states if past_end else -1
+        with pytest.raises(ValueError, match=f"source index {bad} "):
+            comm_height(space, bad, g[1])
+        with pytest.raises(ValueError, match=f"target index {bad} "):
+            comm_height(space, g[1], [g[2], bad])
+
     def test_avoid_increases_height(self, space_2d_33):
         space = space_2d_33
         g = space.ground_states()
@@ -102,6 +112,13 @@ class TestNeighborhood:
         high = int(np.argmax(space.energies))
         assert len(neighborhood(space, [high], 1)) == 0
 
+    @pytest.mark.parametrize("past_end", [False, True], ids=["minus1", "n_states"])
+    def test_out_of_range_root_refused(self, space_223_open, past_end):
+        space = space_223_open
+        bad = space.n_states if past_end else -1
+        with pytest.raises(ValueError, match=f"root index {bad} "):
+            neighborhood(space, [space.ground_states()[1], bad], 6)
+
     def test_no_escape_above_ceiling(self, space_223_open):
         space = space_223_open
         g = space.ground_states()
@@ -131,8 +148,12 @@ class TestBottleneckOracle:
 
     @pytest.fixture(
         scope="class",
-        params=[LatticeSpec(2, 2, 3, 2, "open"), LatticeSpec(2, 2, 2, 3, "open")],
-        ids=["223-q2", "222-q3"],
+        params=[
+            LatticeSpec(2, 2, 3, 2, "open"),
+            LatticeSpec(2, 2, 2, 3, "open"),
+            Lattice2D(3, 3, 3, "periodic"),  # wrap-around moves, as kappa2d floods
+        ],
+        ids=["223-q2", "222-q3", "2d33p-q3"],
     )
     def space(self, request):
         return enumerate_space(request.param)
