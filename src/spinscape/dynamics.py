@@ -5,10 +5,15 @@ Continuous-time rates ``r(sigma, sigma^{x,a}) = exp(-beta * max(dH, 0))``
 with jump probability ``(q |Lambda|)^{-1} exp(-beta * [dH]_+)``, Gibbs
 weights, event-driven trajectory simulation with exact exponential clocks,
 an ensemble sampler over enumerated spaces, and the ground-state trace
-transform.  The ensemble sampler compresses the returning excursions
-``s -> n -> s`` at each strict local minimum ``s`` into one exact draw (a
-geometric count, the exact escape law, and deferred Gamma holding times),
-in the spirit of absorbing-Markov-chain Monte Carlo (Novotny 1995).
+transform.  ``simulate_hit`` keeps its moves in the bins of the n-fold way
+(Bortz, Kalos and Lebowitz 1975), one per energy raise, so drawing and
+updating a move costs O(degree * q) whatever the lattice size.  The
+ensemble sampler compresses the returning excursions ``s -> n -> s`` at
+each strict local minimum ``s`` into one exact draw (a geometric count,
+the exact escape law, and deferred Gamma holding times), in the spirit of
+absorbing-Markov-chain Monte Carlo (Novotny 1995); the escape neighbour
+and its next move come from one alias draw (Vose 1991) over their joint
+law.
 
 RNG: numpy's ``default_rng`` (PCG64); the ensemble sampler drives all its
 walkers from one ``SeedSequence``-seeded generator.  All sampling is
@@ -126,55 +131,112 @@ class TrajectorySample:
 
 
 class _RateTable:
-    """Incrementally maintained flip-rate catalog for one trajectory.
+    """n-fold-way catalogue of the flip moves of one trajectory (Bortz,
+    Kalos and Lebowitz, J. Comput. Phys. 17, 10, 1975).
 
-    ``D[x, a-1]`` is the number of neighbours of ``x`` whose spin differs
-    from ``a``; the energy change of updating ``x`` to ``a`` is
-    ``D[x, a-1] - D[x, s(x)-1]``.  A flip only touches the rows of the
-    flipped site and its neighbours, so updates are O(degree * q).
+    Move ``m = x * q + a - 1`` updates site ``x`` to spin ``a``.  With
+    ``count[x][b]`` neighbours of ``x`` at spin ``b`` and ``s`` the spin of
+    ``x``, it changes the energy by ``dH = count[x][s] - count[x][a]`` and
+    sits in bin ``k = max(dH, 0)`` of ``0..degree``, all of whose moves have
+    the rate ``exp(-beta * k)``.  Bins are lists that keep each move's
+    position, removed by swapping in the last entry, so a flip relocates
+    only the moves of the flipped site and its neighbours, and a draw costs
+    one pass over the bins.
     """
 
     def __init__(self, sigma: SpinConfig, beta: float):
-        spec = sigma.spec
-        self.spec = spec
-        self.beta = beta
-        self.spins = sigma.spins.astype(np.int64).copy()
-        n, q = spec.n_sites, spec.q
-        self.D = np.zeros((n, q), dtype=np.int64)
-        for x in range(n):
-            nb = self.spins[spec.neighbor_lists[x]]
-            for a in range(1, q + 1):
-                self.D[x, a - 1] = np.count_nonzero(nb != a)
-        # the rows a flip of each site changes: the site, then its neighbours
-        self.touched = [np.append(x, nb) for x, nb in enumerate(spec.neighbor_lists)]
-        self.rates = np.zeros((n, q), dtype=np.float64)
-        self._refresh_rows(np.arange(n))
+        q = sigma.spec.q
+        self.q = q
+        self.nbrs = [[int(y) for y in nb] for nb in sigma.spec.neighbor_lists]
+        # the sites whose moves a flip of each site changes: itself, then its neighbours
+        self.touched = [[x, *nb] for x, nb in enumerate(self.nbrs)]
+        self._spins = [int(s) for s in sigma.spins]
+        self.count = [[0] * (q + 1) for _ in self.nbrs]
+        for c, nb in zip(self.count, self.nbrs):
+            for y in nb:
+                c[self._spins[y]] += 1
+        n_bins = max(map(len, self.nbrs), default=0) + 1
+        self.weights = [math.exp(-beta * k) for k in range(n_bins)]
+        self.bins = [[] for _ in range(n_bins)]
+        self.key = [-1] * (len(self.nbrs) * q)  # bin of each move, -1 for no move
+        self.pos = [0] * len(self.key)  # index of each move in its bin
+        self._rebin(range(len(self.nbrs)))
 
-    def _refresh_rows(self, rows: np.ndarray) -> None:
-        own = self.spins[rows] - 1
-        delta = self.D[rows] - self.D[rows, own][:, None]
-        rates = np.exp(-self.beta * np.maximum(delta, 0))
-        rates[np.arange(len(rows)), own] = 0.0
-        self.rates[rows] = rates
+    def _rebin(self, sites) -> None:
+        """Put every move of ``sites`` in the bin of its current raise."""
+        count, spins, q = self.count, self._spins, self.q
+        key, pos, bins = self.key, self.pos, self.bins
+        for x in sites:
+            c, s = count[x], spins[x]
+            own = c[s]
+            m = x * q - 1
+            for a in range(1, q + 1):
+                m += 1
+                if a == s:
+                    new = -1
+                else:
+                    new = own - c[a]
+                    if new < 0:
+                        new = 0
+                old = key[m]
+                if new == old:
+                    continue
+                if old >= 0:
+                    src = bins[old]
+                    last = src.pop()
+                    if last != m:
+                        src[pos[m]] = last
+                        pos[last] = pos[m]
+                if new >= 0:
+                    dst = bins[new]
+                    pos[m] = len(dst)
+                    dst.append(m)
+                key[m] = new
 
     def apply_flip(self, x: int, a: int) -> None:
-        old = int(self.spins[x])
-        self.spins[x] = a
-        rows = self.touched[x]
-        self.D[rows[1:], old - 1] += 1  # neighbour lists hold no repeats
-        self.D[rows[1:], a - 1] -= 1
-        self._refresh_rows(rows)
+        s = self._spins[x]
+        self._spins[x] = a
+        for y in self.nbrs[x]:
+            c = self.count[y]
+            c[s] -= 1
+            c[a] += 1
+        self._rebin(self.touched[x])
 
     def total_rate(self) -> float:
-        return float(self.rates.sum())
+        R = 0.0
+        for b, w in zip(self.bins, self.weights):
+            R += len(b) * w
+        return R
 
-    def draw_move(self, rng: np.random.Generator) -> tuple[int, int]:
-        flat = self.rates.ravel()
-        c = np.cumsum(flat)
-        u = rng.random() * c[-1]
-        j = int(np.searchsorted(c, u, side="right"))
-        j = min(j, len(flat) - 1)
-        return divmod(j, self.spec.q)  # (site, spin-1)
+    def pick(self, u: float) -> int:
+        """The move at ``u`` in ``[0, total_rate())``: the bin from the
+        cumulative bin weights, then the member from the remainder."""
+        for b, w in zip(self.bins, self.weights):
+            c = len(b) * w
+            if u < c:
+                return b[min(int(u / w), len(b) - 1)]
+            u -= c
+        # rounding ran past the end: the last move with a positive rate
+        return next(b[-1] for b, w in zip(self.bins[::-1], self.weights[::-1]) if b and w > 0)
+
+    @property
+    def spins(self) -> np.ndarray:
+        return np.array(self._spins, dtype=np.int64)
+
+    @property
+    def D(self) -> np.ndarray:
+        """``D[x, a-1]``: the neighbours of ``x`` whose spin differs from ``a``."""
+        c = np.array(self.count, dtype=np.int64)[:, 1:]
+        return np.array([len(nb) for nb in self.nbrs])[:, None] - c
+
+    @property
+    def rates(self) -> np.ndarray:
+        """``rates[x, a-1]``: the rate of move ``(x, a)``, 0 for ``a = s(x)``."""
+        w = np.array(self.weights + [0.0])  # key -1 reads the appended 0
+        return w[np.array(self.key)].reshape(len(self.nbrs), self.q)
+
+
+_BLOCK = 1024  # exponentials and uniforms drawn per generator call
 
 
 def simulate_hit(
@@ -190,28 +252,41 @@ def simulate_hit(
     ``target`` is a predicate on :class:`SpinConfig`.  Exact event-driven
     sampling: the waiting time in each state is exponential with the total
     exit rate, and the next state is drawn proportionally to the rates.
-    Two runs with equal seeds produce identical event sequences.
+    Two runs with equal seeds produce identical event sequences.  A
+    ``RuntimeError`` refuses a state whose every exit rate underflows to 0.
     """
     sample = TrajectorySample(seed=seed)
     if target(sigma0):
         return sample
     rng = np.random.default_rng(seed)
     table = _RateTable(sigma0, beta)
-    current = sigma0
+    spec, q = sigma0.spec, sigma0.spec.q
+    spins = sigma0.spins.copy()
     t = 0.0
     for step in range(step_budget):
+        i = step % _BLOCK
+        if i == 0:
+            waits = rng.standard_exponential(_BLOCK).tolist()
+            picks = rng.random(_BLOCK).tolist()
         R = table.total_rate()
-        t += rng.exponential(1.0 / R)
-        x, a0 = table.draw_move(rng)
+        if not R > 0:
+            raise RuntimeError(
+                f"every exit rate underflows to 0 at beta={beta} after {step} events: "
+                f"the smallest energy raise is {next(k for k, b in enumerate(table.bins) if b)}")
+        t += waits[i] / R
+        x, a0 = divmod(table.pick(picks[i] * R), q)
         a = a0 + 1
         table.apply_flip(x, a)
-        current = current.flip_index(x, a)
-        sample.steps = step + 1
+        spins[x] = a
         if record_events:
             sample.events.append((t, x, a))
-        if target(current):
+        current = spins.copy()
+        current.flags.writeable = False
+        if target(SpinConfig._trusted(spec, current)):
+            sample.steps = step + 1
             sample.hitting_time = t
             return sample
+    sample.steps = step_budget
     sample.hit = False
     sample.hitting_time = t
     return sample
@@ -309,10 +384,17 @@ def sample_hitting_times(
     ``max_steps`` bounds the embedded jumps of the whole ensemble,
     compressed ones included; ``return_steps`` also returns each walker's
     number of embedded jumps.  A ``RuntimeError`` reports an exceeded
-    budget, naming the centre when a single loop would pass it.
+    budget, naming the centre when a single loop would pass it.  A
+    ``ValueError`` refuses a start outside ``[0, n_states)`` and a mask that
+    is not a boolean array of shape ``(n_states,)``.
     """
+    if not 0 <= start_state < space.n_states:
+        raise ValueError(f"start index {start_state} outside [0, {space.n_states})")
+    target_mask = np.asarray(target_mask)
+    if target_mask.dtype != bool or target_mask.shape != (space.n_states,):
+        raise ValueError(f"target_mask must be a boolean array of shape ({space.n_states},), "
+                         f"got {target_mask.dtype} of shape {target_mask.shape}")
     tab = _jump_tables(space, beta, target_mask)
-    n_moves = tab.moves.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     result = np.zeros(n_samples, dtype=np.float64)
     step_counts = np.zeros(n_samples, dtype=np.int64)
@@ -333,13 +415,12 @@ def sample_hitting_times(
         row = tab.centre_of[cur]
         at = np.flatnonzero(row >= 0)
         if len(at):
-            r, s = row[at], cur[at]
+            r = row[at]
             # K returning excursions: P(K >= k) = p_return**k
             K = np.floor(rng.standard_exponential(len(at)) * tab.inv_log_return[r])
-            j = _draw(tab.escape_cum, r, u[at])
-            n_star = tab.moves[s, j]
-            go_on = ~target_mask[n_star]
-            loop_extra = 2.0 * K + go_on
+            # the escape neighbour and its next state, in one alias draw
+            o = _alias_draw(tab.loop_prob, tab.loop_alias, r, u[at])
+            loop_extra = 2.0 * K + tab.loop_go_on[o]
             added = loop_extra.sum()
         else:
             loop_extra, added = np.zeros(0), 0
@@ -350,16 +431,11 @@ def sample_hitting_times(
         used += len(alive) + int(added)
         iters += 1
         if len(at):
-            K = K.astype(np.int64)
-            returns[alive[at], r] += K
+            returns[alive[at], r] += K.astype(np.int64)
             extra[at] += loop_extra.astype(np.int64)
-            # a non-target escape neighbour holds, then moves anywhere but back
-            on = np.flatnonzero(go_on)
-            n = n_star[on]
-            clock[at[on]] += rng.standard_exponential(len(on)) * tab.inv_total[n]
-            w = rng.random(len(on))
-            n_star[on] = tab.moves[n, _draw(tab.exit_cum, r[on] * n_moves + j[on], w)]
-            nxt[at] = n_star
+            # a non-target escape neighbour holds before its next move
+            clock[at] += rng.standard_exponential(len(at)) * tab.loop_hold[o]
+            nxt[at] = tab.loop_next[o]
         cur = nxt
         hit = target_mask[cur]
         if hit.any():
@@ -404,6 +480,54 @@ def _draw(cum: np.ndarray, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum.take(cols, axis=1) < u).sum(axis=0)
 
 
+def _alias_draw(prob: np.ndarray, alias: np.ndarray, rows: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """Flat outcome index drawn from row ``rows`` of the alias tables
+    ``(prob, alias)`` (see :func:`_alias_tables`) for the uniform draws ``u``:
+    column ``i = floor(u * width)`` is kept if the remainder of ``u * width``
+    falls below its ``prob``, else it gives way to its alias."""
+    width = prob.shape[1]
+    v = u * width
+    i = np.minimum(v.astype(np.intp), width - 1)  # u * width may round up to width
+    o = rows * width + i
+    return np.where(v - i < prob.take(o), o, alias.take(o))
+
+
+def _alias_tables(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Alias tables (Vose, IEEE Trans. Softw. Eng. 17, 972, 1991) of every
+    row of the laws ``law`` (rows, width), built for all rows at once.
+
+    Returns ``prob`` (rows, width) and ``alias`` (rows, width), the latter
+    as flat indices into the whole table.  Each step pairs, in every row
+    with both, a column of scaled weight below 1 with one of weight at
+    least 1: the small one is finished, and the large one gives it the
+    rest of its unit and becomes small if that leaves it below 1.
+    """
+    rows, width = law.shape
+    P = law * width
+    prob = np.ones_like(P)
+    alias = np.tile(np.arange(width), (rows, 1))
+    # each row's small columns are a stack in order[:, :n_small], its large
+    # ones a stack in order[:, top:], with n_small <= top throughout
+    order = np.argsort(P >= 1.0, axis=1, kind="stable")
+    n_small = np.count_nonzero(P < 1.0, axis=1)
+    top = n_small.copy()
+    live = np.flatnonzero((n_small > 0) & (top < width))
+    while len(live):
+        h = n_small[live] - 1
+        small, large = order[live, h], order[live, top[live]]
+        prob[live, small] = P[live, small]
+        alias[live, small] = large
+        P[live, large] += P[live, small] - 1.0
+        fell = P[live, large] < 1.0
+        # a large column that falls below 1 takes the small one's place
+        order[live[fell], h[fell]] = large[fell]
+        top[live[fell]] += 1
+        n_small[live[~fell]] -= 1
+        live = live[(n_small[live] > 0) & (top[live] < width)]
+    return prob, alias + width * np.arange(rows)[:, None]
+
+
 @dataclass(frozen=True)
 class _JumpTables:
     """Per-state jump tables, plus the loop tables of each centre ``s``.
@@ -428,6 +552,14 @@ class _JumpTables:
     escape_cum: np.ndarray  # (n_moves - 1, n_centres) law of the escape neighbour
     return_law: np.ndarray  # (n_centres, n_moves) law of a returning neighbour
     exit_cum: np.ndarray  # (n_moves - 1, n_centres * n_moves) exit law of each n_j
+    # alias tables of the joint law of (escape move j, exit move k) of each
+    # centre, and per outcome j * n_moves + k: the walker's next state, the
+    # mean hold at n_j (0 if n_j is a target) and whether it moves on from n_j
+    loop_prob: np.ndarray  # (n_centres, n_moves**2)
+    loop_alias: np.ndarray  # (n_centres, n_moves**2) flat outcome index
+    loop_next: np.ndarray  # (n_centres * n_moves**2,)
+    loop_hold: np.ndarray  # (n_centres * n_moves**2,)
+    loop_go_on: np.ndarray  # (n_centres * n_moves**2,)
 
 
 def _cumulative(w: np.ndarray) -> np.ndarray:
@@ -441,6 +573,13 @@ def _cumulative(w: np.ndarray) -> np.ndarray:
     tot = raw[:, -1:]
     cum = np.divide(raw, tot, out=np.ones_like(raw), where=raw < tot)
     return np.ascontiguousarray(cum[:, :-1].T)
+
+
+def _law(cum: np.ndarray) -> np.ndarray:
+    """The outcome probabilities, as rows, of the cumulative laws ``cum``
+    written by :func:`_cumulative`."""
+    edge = np.ones((1, cum.shape[1]))
+    return np.diff(np.concatenate((0.0 * edge, cum, edge)), axis=0).T
 
 
 def _jump_tables(space, beta: float, target_mask: np.ndarray) -> _JumpTables:
@@ -472,6 +611,12 @@ def _jump_tables(space, beta: float, target_mask: np.ndarray) -> _JumpTables:
         # -log(p_return), from whichever of the two sums is accurate
         log_return = np.where(p_return < 0.5, -np.log(p_return), -np.log1p(-p_escape))
         inv_log_return = 1.0 / log_return
+    escape_cum, exit_cum = _cumulative(esc), _cumulative(away)
+    m = moves.shape[1]
+    joint = _law(escape_cum)[:, :, None] * _law(exit_cum).reshape(-1, m, m)
+    loop_prob, loop_alias = _alias_tables(joint.reshape(-1, m * m))
+    shape = (len(centres), m, m)
+    go_on = np.broadcast_to(~stop[:, :, None], shape)
     return _JumpTables(
         moves=moves,
         cum=_cumulative(rates),
@@ -481,8 +626,13 @@ def _jump_tables(space, beta: float, target_mask: np.ndarray) -> _JumpTables:
         p_return=p_return,
         p_escape=p_escape,
         inv_log_return=inv_log_return,
-        escape_cum=_cumulative(esc),
+        escape_cum=escape_cum,
         return_law=np.divide(ret, p_return[:, None], out=np.zeros_like(ret),
                              where=p_return[:, None] > 0),
-        exit_cum=_cumulative(away),
+        exit_cum=exit_cum,
+        loop_prob=loop_prob,
+        loop_alias=loop_alias,
+        loop_next=np.where(go_on, moves[nbr], nbr[:, :, None]).ravel(),
+        loop_hold=np.where(go_on, inv_total[nbr][:, :, None], 0.0).ravel(),
+        loop_go_on=go_on.ravel(),
     )

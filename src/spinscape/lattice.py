@@ -315,6 +315,16 @@ class SpinConfig:
         object.__setattr__(self, "spins", arr)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _trusted(cls, spec, spins: np.ndarray) -> "SpinConfig":
+        """Wrap ``spins``, a valid read-only int16 array that nothing writes
+        again, without copying or validating it."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "spins", spins)
+        object.__setattr__(self, "_hash", None)
+        return self
+
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("SpinConfig is immutable")
 
@@ -355,6 +365,8 @@ class SpinConfig:
 
     def flip_index(self, index: int, a: int) -> "SpinConfig":
         """Like :meth:`flip` but addressed by linear index."""
+        if not 0 <= index < self.spec.n_sites:
+            raise ValueError(f"linear index {index} out of range")
         if not 1 <= a <= self.spec.q:
             raise ValueError(f"spin {a} out of range [1, {self.spec.q}]")
         new = self.spins.copy()
@@ -528,6 +540,6 @@ def monochrome(spec, a: int) -> SpinConfig:
 def is_ground(sigma: SpinConfig) -> int | None:
     """``a`` if ``sigma`` is the constant-``a`` configuration, else None."""
     first = int(sigma.spins[0])
-    if np.all(sigma.spins == first):
+    if np.count_nonzero(sigma.spins != first) == 0:
         return first
     return None

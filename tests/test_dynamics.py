@@ -360,3 +360,168 @@ class TestRateTable:
         fresh = dy._RateTable(SpinConfig(spec, table.spins.astype(np.int16)), beta)
         assert np.array_equal(table.D, fresh.D)
         assert np.array_equal(table.rates, fresh.rates)
+
+
+class TestNFoldWay:
+    @pytest.mark.parametrize("spec", [LatticeSpec(2, 3, 3, 3, "open"),
+                                      LatticeSpec(3, 3, 3, 3, "periodic")],
+                             ids=["233-open", "333-periodic"])
+    def test_bins_match_flip_deltas_after_random_flips(self, spec):
+        beta = 0.8
+        table = dy._RateTable(random_config(spec, 6), beta)
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            x = int(rng.integers(spec.n_sites))
+            a = int(rng.choice([b for b in range(1, 4) if b != table.spins[x]]))
+            table.apply_flip(x, a)
+        config = SpinConfig(spec, table.spins.astype(np.int16))
+        q = spec.q
+        for x in range(spec.n_sites):
+            for a in range(1, q + 1):
+                m = x * q + a - 1
+                if a == config.spins[x]:
+                    assert table.key[m] == -1
+                    continue
+                k = max(flip_delta(config, x, a), 0)
+                assert table.key[m] == k
+                assert table.bins[k][table.pos[m]] == m
+        fresh = dy._RateTable(config, beta)
+        assert [len(b) for b in table.bins] == [len(b) for b in fresh.bins]
+        assert sum(map(len, table.bins)) == spec.n_sites * (q - 1)
+        assert table.total_rate() == fresh.total_rate()
+
+    def test_pick_gives_each_move_its_share(self):
+        # a grid of N points over [0, R) puts N r / R +- 1 of them in the
+        # interval of a move of rate r, which a wrongly scaled member index
+        # or bin walk misses
+        spec = LatticeSpec(2, 3, 3, 3, "open")
+        table = dy._RateTable(random_config(spec, 10), 0.8)
+        rates = table.rates.ravel()
+        R, N = table.total_rate(), 100_000
+        picks = [table.pick((i + 0.5) / N * R) for i in range(N)]
+        counts = np.bincount(picks, minlength=len(rates))
+        assert np.all(np.abs(counts - N * rates / R) <= 1.0)
+
+    def test_trajectory_follows_metropolis_law(self):
+        """Rates recomputed from the neighbour counts, not the sampler's bins.
+
+        By time rescaling, the sum of R(sigma_{i-1}) * (t_i - t_{i-1}) over
+        N events is Gamma(N, 1), within 5 sqrt(N) of N; the number of
+        energy-raising flips has mean sum_i p_up(sigma_{i-1}) and variance
+        sum_i p_up (1 - p_up)."""
+        spec = LatticeSpec(3, 3, 3, 3, "open")
+        beta, n = 0.7, 4000
+        sigma0 = random_config(spec, 8)
+        sample = dy.simulate_hit(sigma0, lambda s: False, beta, seed=9, step_budget=n)
+        nbrs = [[int(y) for y in nb] for nb in spec.neighbor_lists]
+        spins = [int(v) for v in sigma0.spins]
+
+        def deltas(x):
+            count = [0] * (spec.q + 1)
+            for y in nbrs[x]:
+                count[spins[y]] += 1
+            return {a: count[spins[x]] - count[a] for a in range(1, spec.q + 1)
+                    if a != spins[x]}
+
+        moves = {}  # dE -> number of moves with that energy change
+        for x in range(spec.n_sites):
+            for d in deltas(x).values():
+                moves[d] = moves.get(d, 0) + 1
+        t_prev, clock, ups, up_mean, up_var = 0.0, 0.0, 0, 0.0, 0.0
+        for t, x, a in sample.events:
+            rates = {d: c * math.exp(-beta * max(d, 0)) for d, c in moves.items()}
+            total = sum(rates.values())
+            p_up = sum(r for d, r in rates.items() if d > 0) / total
+            clock += total * (t - t_prev)
+            up_mean += p_up
+            up_var += p_up * (1.0 - p_up)
+            ups += deltas(x)[a] > 0
+            touched = [x, *nbrs[x]]
+            for y in touched:
+                for d in deltas(y).values():
+                    moves[d] -= 1
+            spins[x] = a
+            for y in touched:
+                for d in deltas(y).values():
+                    moves[d] = moves.get(d, 0) + 1
+            t_prev = t
+        assert len(sample.events) == n
+        assert abs(clock - n) <= 5 * math.sqrt(n)
+        assert abs(ups - up_mean) <= 5 * math.sqrt(up_var)
+
+    def test_all_rates_underflow_refused(self):
+        # from a ground state every move raises the energy by at least 3,
+        # and exp(-300 * 3) is 0.0
+        c = monochrome(SPEC, 1)
+        with pytest.raises(RuntimeError, match=r"beta=300\.0 .*smallest energy raise is 3"):
+            dy.simulate_hit(c, lambda s: is_ground(s) == 2, beta=300.0, seed=1)
+
+
+class TestEnsembleInputs:
+    @pytest.fixture(scope="class")
+    def space_222(self):
+        from spinscape.landscape import enumerate_space
+
+        return enumerate_space(LatticeSpec(2, 2, 2, 2, "open"))
+
+    def _target(self, space):
+        mask = np.zeros(space.n_states, bool)
+        mask[space.ground_states()[2]] = True
+        return mask
+
+    @pytest.mark.parametrize("start", [-1, 256], ids=["minus1", "n_states"])
+    def test_start_out_of_range_refused(self, space_222, start):
+        with pytest.raises(ValueError, match=f"start index {start} outside"):
+            dy.sample_hitting_times(space_222, start, self._target(space_222), 2.0, 5, seed=1)
+
+    def test_integer_mask_refused(self, space_222):
+        mask = self._target(space_222).astype(np.int64)
+        # unchecked, the 0/1 array is read as state indices; the budget
+        # bounds that run instead of letting it go on for minutes
+        with pytest.raises(ValueError, match="boolean array of shape"):
+            dy.sample_hitting_times(space_222, 0, mask, 2.0, 5, seed=1, max_steps=10_000)
+
+    def test_short_mask_refused(self, space_222):
+        mask = self._target(space_222)[:-1]
+        with pytest.raises(ValueError, match="boolean array of shape"):
+            dy.sample_hitting_times(space_222, 0, mask, 2.0, 5, seed=1)
+
+
+class TestLoopAliasTables:
+    @pytest.mark.parametrize("case", ["223-q2", "223-q2-neighbour", "222-q3"])
+    def test_alias_tables_give_escape_times_exit_law(self, case, space_223_open):
+        from spinscape.landscape import enumerate_space
+
+        space = (space_223_open if case.startswith("223")
+                 else enumerate_space(LatticeSpec(2, 2, 2, 3, "open")))
+        beta = 3.0 if case.startswith("223") else 2.0
+        g = space.ground_states()
+        mask = np.zeros(space.n_states, bool)
+        mask[[s for a, s in g.items() if a != 1]] = True
+        mt = space.move_table()
+        if case.endswith("neighbour"):
+            mask[mt[g[1], 3]] = True
+        tab = dy._jump_tables(space, beta, mask)
+        m = mt.shape[1]
+        width = m * m
+        assert len(tab.centres) > 0
+        # only the neighbour case puts a target next to a centre
+        assert mask[mt[tab.centres]].any() == case.endswith("neighbour")
+        for c, s in enumerate(tab.centres):
+            prob, alias = tab.loop_prob[c], tab.loop_alias[c] - c * width
+            assert np.all((0.0 <= prob) & (prob <= 1.0))
+            got = prob / width
+            np.add.at(got, alias, (1.0 - prob) / width)
+            escape = _probs(tab.escape_cum[:, c])
+            for j, n in enumerate(mt[s]):
+                exit_row = _probs(tab.exit_cum[:, c * m + j])
+                for k in range(m):
+                    o = j * m + k
+                    assert abs(got[o] - escape[j] * exit_row[k]) <= 1e-12
+                    flat = c * width + o
+                    assert tab.loop_go_on[flat] == (not mask[n])
+                    if mask[n]:
+                        assert tab.loop_next[flat] == n and tab.loop_hold[flat] == 0.0
+                    else:
+                        assert tab.loop_next[flat] == mt[n, k]
+                        assert tab.loop_hold[flat] == tab.inv_total[n]

@@ -98,6 +98,12 @@ class TestConfig:
         i = spec.site_index(site)
         assert c.flip(site, 3) == c.flip_index(i, 3)
 
+    @pytest.mark.parametrize("index", [-1, 36])
+    def test_flip_index_out_of_range_refused(self, index):
+        c = monochrome(LatticeSpec(3, 3, 4, 3, "periodic"), 1)
+        with pytest.raises(ValueError, match=f"linear index {index} out of range"):
+            c.flip_index(index, 2)
+
     def test_floor_pillar_roundtrip(self):
         spec = LatticeSpec(3, 3, 4, 2, "periodic")
         c = random_config(spec, 2)
