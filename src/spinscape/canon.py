@@ -5,6 +5,11 @@ variants), the 3D slab ("regular") and one-active-floor ("canonical")
 families, the gateway classifier with its three floor types, canonical
 growth paths realizing the energy barrier, and the explicit sub-barrier
 escape path from thin slabs.
+
+Both recognizers, :func:`is_canonical` and :func:`classify_gateway`,
+filter one reading of a configuration as a slab plus at most one active
+floor (:func:`_readings`), and all builders write the slab through one
+helper (:func:`_slab`).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -336,19 +342,11 @@ def gateway_2d_types(spec2d: Lattice2D, a: int, b: int) -> dict:
 # 3D builders
 # ---------------------------------------------------------------------------
 
-def _orientation_images(sigma: SpinConfig):
-    """(label, image) pairs over the allowed-axis-swap closure of sigma.
-
-    Labels are permutation strings over the axes (identity first); only
-    swaps between equal extents are generated, and a label whose image
-    repeats an earlier one is skipped.
-    """
-    seen: dict[str, SpinConfig] = {}
-    for label in axis_permutations(sigma.array3d.shape):
-        img = sigma.transpose(label)
-        if img not in seen.values():
-            seen[label] = img
-    return list(seen.items())
+def _slab(spec: LatticeSpec, a: int, b: int, P: TorusArc) -> np.ndarray:
+    """The ``(M, L, K)`` spin array: floors in ``P`` spin ``b``, rest ``a``."""
+    arr = np.full((spec.M, spec.L, spec.K), a, dtype=np.int16)
+    arr[[m - 1 for m in P.members()]] = b
+    return arr
 
 
 def build_regular(
@@ -357,14 +355,7 @@ def build_regular(
     """The slab configuration: floors in ``P`` all spin ``b``, rest ``a``."""
     if P.n != spec.M:
         raise ValueError("arc size does not match M")
-    arr = np.full((spec.M, spec.L, spec.K), a, dtype=np.int16)
-    for m in P.members():
-        arr[m - 1] = b
-    sigma = SpinConfig(spec, arr.ravel())
-    return _apply_orientation(sigma, orientation)
-
-
-def _apply_orientation(sigma: SpinConfig, orientation: str | None) -> SpinConfig:
+    sigma = SpinConfig(spec, _slab(spec, a, b, P).ravel())
     return sigma if orientation is None else sigma.transpose(orientation)
 
 
@@ -395,12 +386,10 @@ def build_canonical(
     if spec.boundary == PERIODIC and eta.code not in canonical_2d_codes(spec2d, a, b):
         raise ValueError("active floor is not a 2D canonical configuration")
     (m0,) = Q.member_set() - P.member_set()
-    arr = np.full((spec.M, spec.L, spec.K), a, dtype=np.int16)
-    for m in P.members():
-        arr[m - 1] = b
+    arr = _slab(spec, a, b, P)
     arr[m0 - 1] = eta.spins.reshape(spec.L, spec.K)
     sigma = SpinConfig(spec, arr.ravel())
-    return _apply_orientation(sigma, orientation)
+    return sigma if orientation is None else sigma.transpose(orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -417,104 +406,72 @@ class CanonicalDescriptor:
     orientation: str
 
 
-def _axis_aligned_canonical(sigma: SpinConfig):
-    """Descriptors (a, b, P, m0, floor_code) of the axis-aligned pattern."""
-    spec = sigma.spec
-    spec2d = spec.floor_spec()
-    floors = sigma.floors()
-    mono: list[int | None] = []
-    for f in floors:
-        v = int(f.spins[0])
-        mono.append(v if np.all(f.spins == v) else None)
-    actives = [m for m, v in enumerate(mono, start=1) if v is None]
-    out = []
-    M = spec.M
-    boundary = spec.boundary
-    if len(actives) > 1:
-        return out
-    if len(actives) == 1:
-        m0 = actives[0]
-        eta = floors[m0 - 1]
-        spins_present = sorted({v for v in mono if v is not None})
-        # candidate (a, b) pairs consistent with the monochrome floors
-        pairs = set()
-        for a in range(1, spec.q + 1):
-            for b in range(1, spec.q + 1):
-                if a == b:
-                    continue
-                if all(v in (a, b) for v in mono if v is not None):
-                    pairs.add((a, b))
-        for a, b in sorted(pairs):
-            if boundary == PERIODIC and eta.code not in canonical_2d_codes(spec2d, a, b):
-                continue
-            bset = {m for m, v in enumerate(mono, start=1) if v == b}
-            aset = {m for m, v in enumerate(mono, start=1) if v == a}
-            if bset | aset | {m0} != set(range(1, M + 1)):
-                continue
-            P = _arc_from_set(M, bset, boundary)
-            if P is None:
-                continue
-            Q = _arc_from_set(M, bset | {m0}, boundary)
-            if Q is None or not P.precedes(Q):
-                continue
-            out.append((a, b, P, m0, int(eta.code)))
-        return out
-    # no active floor: monochrome or pure slab; emit the slab descriptors
-    vals = sorted({v for v in mono if v is not None})
-    if len(vals) == 1:
-        aa = vals[0]
-        for bb in range(1, spec.q + 1):
-            if bb != aa:
-                out.append(
-                    (aa, bb, TorusArc(M, 1, 0), 1, int(monochrome(spec2d, aa).code))
-                )
-        return out
-    if len(vals) == 2:
-        x, y = vals
-        for a, b in ((x, y), (y, x)):
-            bset = {m for m, v in enumerate(mono, start=1) if v == b}
-            P = _arc_from_set(M, bset, boundary)
-            if P is None:
-                continue
-            for Q in P.extensions(boundary):
-                (m0,) = Q.member_set() - P.member_set()
-                out.append((a, b, P, m0, int(monochrome(spec2d, a).code)))
-    return out
-
-
 def _arc_from_set(n: int, s: set, boundary: str) -> TorusArc | None:
-    if not s:
-        return TorusArc(n, 1, 0)
-    if len(s) == n:
-        return TorusArc(n, 1, n)
-    for start in range(1, n + 1):
-        arc = TorusArc(n, start, len(s))
-        if arc.member_set() == frozenset(s):
-            if boundary == OPEN:
-                mem = arc.members()
-                if mem != sorted(mem):
-                    continue
-            return arc
-    return None
+    """The arc with member set ``s``, or None; open arcs may not wrap."""
+    if len(s) in (0, n):
+        return TorusArc(n, 1, len(s))
+    starts = [m for m in s if (m - 2) % n + 1 not in s]
+    if len(starts) != 1 or (boundary == OPEN and starts[0] != min(s)):
+        return None
+    return TorusArc(n, starts[0], len(s))
+
+
+def _readings(sigma: SpinConfig):
+    """Every slab-plus-active-floor reading of sigma, up to allowed axis swaps.
+
+    In each orientation image all floors but at most one (the active
+    floor) must be monochrome.  Each ordered spin pair ``(a, b)`` covering
+    the monochrome spins gives the arc ``P`` of the b floors, and each floor
+    ``m0`` outside ``P`` -- the active floor when there is one -- for which
+    ``P + {m0}`` is an arc gives the reading
+    ``(a, b, P, m0, floor_code, orientation, active)``, where
+    ``floor_code`` is the code of floor ``m0``.
+    """
+    arr3d, spec = sigma.array3d, sigma.spec
+    M, boundary, spec2d = spec.M, spec.boundary, spec.floor_spec()
+    for label in axis_permutations(arr3d.shape):
+        arr = arr3d.transpose([int(c) for c in label])
+        flat = (arr == arr[:, :1, :1]).all(axis=(1, 2)).tolist()
+        mono = [v if ok else None for v, ok in zip(arr[:, 0, 0].tolist(), flat)]
+        actives = [m for m, v in enumerate(mono, start=1) if v is None]
+        if len(actives) > 1:
+            continue
+        for a, b in permutations(range(1, spec.q + 1), 2):
+            if any(v not in (None, a, b) for v in mono):
+                continue
+            bset = {m for m, v in enumerate(mono, start=1) if v == b}
+            P = _arc_from_set(M, bset, boundary)
+            if P is None:
+                continue
+            for m0 in actives or [m for m in range(1, M + 1) if m not in bset]:
+                if _arc_from_set(M, bset | {m0}, boundary) is not None:
+                    code = SpinConfig(spec2d, arr[m0 - 1].ravel()).code
+                    yield a, b, P, m0, code, label, bool(actives)
+
+
+def _least(descriptors):
+    """The least descriptor by orientation label, then spins, then arc, or
+    None."""
+    return min(
+        descriptors,
+        key=lambda d: (d.orientation, d.a, d.b, d.P.length, d.P.start, d.m0),
+        default=None,
+    )
 
 
 def is_canonical(sigma: SpinConfig) -> CanonicalDescriptor | None:
     """Invert the one-active-floor construction, up to allowed axis swaps.
 
     Returns the lexicographically smallest descriptor (by orientation
-    label, then spins, then arc) or None.
+    label, then spins, then arc) or None.  On periodic lattices the active
+    floor must be a 2D canonical configuration.
     """
-    candidates = []
-    for label, img in _orientation_images(sigma):
-        for (a, b, P, m0, floor_code) in _axis_aligned_canonical(img):
-            candidates.append(
-                CanonicalDescriptor(a, b, P, m0, floor_code, label)
-            )
-    if not candidates:
-        return None
-    return min(
-        candidates,
-        key=lambda d: (d.orientation, d.a, d.b, d.P.length, d.P.start, d.m0),
+    spec = sigma.spec
+    return _least(
+        CanonicalDescriptor(a, b, P, m0, code, label)
+        for a, b, P, m0, code, label, active in _readings(sigma)
+        if not (active and spec.boundary == PERIODIC)
+        or code in canonical_2d_codes(spec.floor_spec(), a, b)
     )
 
 
@@ -542,44 +499,12 @@ def classify_gateway(sigma: SpinConfig) -> GatewayClass | None:
         return None
     m_K = mk_mK(spec.K)
     spec2d = spec.floor_spec()
-    candidates = []
-    for label, img in _orientation_images(sigma):
-        floors = img.floors()
-        mono = []
-        for f in floors:
-            v = int(f.spins[0])
-            mono.append(v if np.all(f.spins == v) else None)
-        actives = [m for m, v in enumerate(mono, start=1) if v is None]
-        if len(actives) != 1:
-            continue
-        m0 = actives[0]
-        eta_code = int(floors[m0 - 1].code)
-        for a in range(1, spec.q + 1):
-            for b in range(1, spec.q + 1):
-                if a == b:
-                    continue
-                if not all(v in (a, b) for v in mono if v is not None):
-                    continue
-                types = gateway_2d_types(spec2d, a, b)
-                if eta_code not in types:
-                    continue
-                bset = {m for m, v in enumerate(mono, start=1) if v == b}
-                P = _arc_from_set(spec.M, bset, spec.boundary)
-                if P is None:
-                    continue
-                Q = _arc_from_set(spec.M, bset | {m0}, spec.boundary)
-                if Q is None or not P.precedes(Q):
-                    continue
-                if not (m_K - 1 <= P.length <= spec.M - m_K):
-                    continue
-                candidates.append(
-                    GatewayClass(a, b, P, m0, types[eta_code], label)
-                )
-    if not candidates:
-        return None
-    return min(
-        candidates,
-        key=lambda g: (g.orientation, g.a, g.b, g.P.length, g.P.start, g.m0),
+    return _least(
+        GatewayClass(a, b, P, m0, gateway_2d_types(spec2d, a, b)[code], label)
+        for a, b, P, m0, code, label, active in _readings(sigma)
+        if active
+        and m_K - 1 <= P.length <= spec.M - m_K
+        and code in gateway_2d_types(spec2d, a, b)
     )
 
 
@@ -601,14 +526,10 @@ def generate_gateways(spec: LatticeSpec, a: int, b: int) -> dict:
         for P in arcs_of_length(spec.M, i, spec.boundary):
             for Q in P.extensions(spec.boundary):
                 (m0,) = Q.member_set() - P.member_set()
-                base = np.full((spec.M, spec.L, spec.K), a, dtype=np.int16)
-                for m in P.members():
-                    base[m - 1] = b
+                arr = _slab(spec, a, b, P)
                 for eta in floor_cfgs:
-                    arr = base.copy()
                     arr[m0 - 1] = eta.spins.reshape(spec.L, spec.K)
-                    sigma = SpinConfig(spec, arr.ravel())
-                    for img in sigma.upsilon_orbit():
+                    for img in SpinConfig(spec, arr.ravel()).upsilon_orbit():
                         codes.add(img.code)
         out[i] = sorted(codes)
     return out
@@ -771,9 +692,7 @@ def escape_path(spec: LatticeSpec, a: int, b: int, n: int) -> PathSeq:
     K, L, M = spec.dims
     if not 1 <= n <= math.isqrt(K) - 1:
         raise ValueError(f"require 1 <= n <= isqrt(K)-1 = {math.isqrt(K) - 1}")
-    arr = np.full((M, L, K), a, dtype=np.int16)
-    arr[:n] = b
-    start = SpinConfig(spec, arr.ravel())
+    start = SpinConfig(spec, _slab(spec, a, b, TorusArc(M, 1, n)).ravel())
 
     def idx(k, l, m):
         return (k - 1) + K * (l - 1) + K * L * (m - 1)

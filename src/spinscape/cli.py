@@ -435,6 +435,9 @@ def cmd_classify(cfg: dict) -> int:
     spec = _need_spec(cfg)
     if "state_code" not in cfg:
         raise SystemExit("error: classify needs --state-code")
+    n_codes = spec.q ** spec.n_sites
+    if not 0 <= cfg["state_code"] < n_codes:
+        raise SystemExit(f"error: --state-code must lie in [0, {n_codes}) on this lattice")
     sigma = SpinConfig.from_code(spec, cfg["state_code"])
     label: dict = {"label": "none"}
     g = is_ground(sigma)

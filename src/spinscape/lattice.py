@@ -347,9 +347,6 @@ class SpinConfig:
     def __repr__(self) -> str:
         return f"SpinConfig({self.spec!r}, {self.spins.tolist()!r})"
 
-    def spin_at(self, site: Site) -> int:
-        return int(self.spins[self.spec.site_index(site)])
-
     # -- updates -----------------------------------------------------------
 
     def flip(self, site: Site, a: int) -> "SpinConfig":

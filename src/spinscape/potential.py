@@ -32,7 +32,6 @@ __all__ = [
     "spectral_gap",
     "AuxChain",
     "build_aux_chain",
-    "aux_equilibrium_potential",
     "aux_capacity",
     "e_constant",
     "Flow",
@@ -443,10 +442,6 @@ def aux_ground_and_window_vertices(ts: TypicalSets, aux: AuxChain):
     return sorted(src_vertices), sorted(tgt_vertices)
 
 
-def aux_equilibrium_potential(aux: AuxChain, sources, targets) -> np.ndarray:
-    return equilibrium_potential(aux.as_chain(), sources, targets)
-
-
 def aux_capacity(aux: AuxChain, sources, targets) -> float:
     sources = list(sources)
     targets = list(targets)
@@ -794,7 +789,7 @@ def test_function(
             s_v, t_v = aux_ground_and_window_vertices(tsx, aux)
             if set(s_v) & set(t_v) or not s_v or not t_v:
                 raise ValueError("degenerate window on the auxiliary chain")
-            hv = aux_equilibrium_potential(aux, s_v, t_v)
+            hv = equilibrium_potential(aux.as_chain(), s_v, t_v)
             for vi, st in enumerate(aux.vertex_state):
                 out[int(st)] = float(hv[vi])
         except Exception as err:  # degenerate instances
@@ -843,14 +838,16 @@ def test_function(
         for codes in ts.G_slices.values():
             for s in codes:
                 s = int(s)
-                gc = classify_gateway(space.config(s))
+                sigma = space.config(s)
+                gc = classify_gateway(sigma)
                 if gc is None:
                     continue
                 a = gc.a if gc.a in ts.A else None
                 b = gc.b if gc.b in ts.B else None
                 if a is None or b is None:
                     continue
-                floor_code = int(space.config(s).floor(gc.m0).code)
+                # gc.m0 counts the floors of the image rotated by gc.orientation
+                floor_code = int(sigma.transpose(gc.orientation).floor(gc.m0).code)
                 prof = h2d(a, b, floor_code)
                 h[s] = (1.0 / c) * (
                     ((M - m_K - gc.P.length - (1.0 - prof)) / denom) * bconst + eB

@@ -15,6 +15,7 @@ from spinscape.canon import (
     classify_gateway,
     escape_path,
     gateway_2d_types,
+    generate_gateways,
     is_canonical,
     mk_mK,
     n_window_bounds,
@@ -25,7 +26,8 @@ from spinscape.canon import (
     zeta_2d_codes,
 )
 from spinscape.energy import energy, energy2d
-from spinscape.lattice import Lattice2D, LatticeSpec, SpinConfig, monochrome
+from spinscape.lattice import (Lattice2D, LatticeSpec, SpinConfig, axis_permutations,
+                               monochrome)
 
 
 class TestThresholds:
@@ -230,3 +232,63 @@ class TestPaths:
         gamma = 2 * 81 + 2 * 9 + 2
         assert p.max_energy < gamma
         assert p.end == monochrome(spec, 1)
+
+
+class TestRecognizerReadings:
+    """is_canonical / classify_gateway read the slab and the active floor
+    in the orientation their descriptor names."""
+
+    @staticmethod
+    def rebuild(spec, d):
+        """The (M, L, K) array a canonical descriptor describes."""
+        arr = np.full((spec.M, spec.L, spec.K), d.a, dtype=np.int16)
+        arr[[m - 1 for m in d.P.members()]] = d.b
+        assert d.m0 not in d.P.members()
+        floor = SpinConfig.from_code(spec.floor_spec(), d.floor_code)
+        arr[d.m0 - 1] = floor.spins.reshape(spec.L, spec.K)
+        return arr
+
+    @pytest.mark.parametrize(
+        "dims,q,boundary",
+        [((3, 3, 3), 2, "periodic"), ((3, 4, 4), 3, "periodic"), ((2, 3, 5), 3, "open")],
+    )
+    def test_descriptors_rebuild_the_image(self, dims, q, boundary):
+        spec = LatticeSpec(*dims, q, boundary)
+        spec2d = spec.floor_spec()
+        M = spec.M
+        orientations = axis_permutations((M, spec.L, spec.K))
+        if dims == (3, 3, 3):
+            assert len(orientations) == 6
+        for a, b in [(1, 2), (2, 1)] + ([(3, 1)] if q == 3 else []):
+            floors = [xi_plain(spec2d, a, b, 1, 1), xi_side(spec2d, a, b, 1, 1, 1, 1, "plus")]
+            for length in range(M + 1):
+                for P in arcs_of_length(M, length, boundary):
+                    for o in orientations:
+                        sigmas = [build_regular(spec, a, b, P, o)]
+                        for Q in P.extensions(boundary):
+                            sigmas += [build_canonical(spec, a, b, P, Q, f, o) for f in floors]
+                        for sigma in sigmas:
+                            d = is_canonical(sigma)
+                            assert d is not None
+                            want = sigma.transpose(d.orientation).array3d
+                            assert np.array_equal(self.rebuild(spec, d), want)
+
+    def test_open_arcs_do_not_wrap(self):
+        # floors {1, 4} of spin 2 wrap around on the open interval 1..4, so
+        # the slab is read as the spin-1 floors {2, 3} in a spin-2 background
+        spec = LatticeSpec(2, 2, 4, 2, "open")
+        arr = np.ones((4, 2, 2), dtype=np.int16)
+        arr[[0, 3]] = 2
+        d = is_canonical(SpinConfig(spec, arr.ravel()))
+        assert (d.a, d.b, d.P, d.m0) == (2, 1, TorusArc(4, 2, 2), 1)
+
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (3, 4, 4)])
+    def test_gateway_active_floor_in_its_orientation(self, dims):
+        spec = LatticeSpec(*dims, 2, "periodic")
+        types = gateway_2d_types(spec.floor_spec(), 1, 2)
+        for codes in generate_gateways(spec, 1, 2).values():
+            for c in codes:
+                sigma = SpinConfig.from_code(spec, c)
+                gc = classify_gateway(sigma)
+                floor = sigma.transpose(gc.orientation).floor(gc.m0)
+                assert types[floor.code] == gc.type

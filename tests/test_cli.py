@@ -129,6 +129,14 @@ class TestClassify:
         assert code == 0
         assert rep["classification"]["label"] == "regular"
 
+    @pytest.mark.parametrize("state_code", ["-1", str(2**36)])
+    def test_state_code_out_of_range(self, capsys, state_code):
+        # 3x3x4 at q=2 has codes 0 .. 2**36 - 1
+        with pytest.raises(SystemExit, match=r"^error: --state-code must lie in \[0, 68719476736\)"):
+            main(["classify", "--lattice", "3x3x4", "--boundary", "periodic", "--q", "2",
+                  "--state-code", state_code])
+        assert capsys.readouterr().out == ""
+
 
 class TestSimulate:
     def test_smoke_runs_deterministic(self, capsys, tmp_path):
