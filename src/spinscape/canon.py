@@ -372,6 +372,8 @@ def build_canonical(
     floors outside ``Q`` constant ``a``, and the single floor of ``Q - P``
     carries the given 2D canonical shape (a :class:`FloorShape` or a 2D
     :class:`SpinConfig`)."""
+    if P.n != spec.M or Q.n != spec.M:
+        raise ValueError("arc size does not match M")
     if not P.precedes(Q):
         raise ValueError("require P < Q with |Q| = |P| + 1")
     spec2d = spec.floor_spec()

@@ -90,21 +90,38 @@ class StateSpace:
 
     # -- move tables -------------------------------------------------------
 
+    def moves_from(self, states=None) -> np.ndarray:
+        """(len(states), n_sites*(q-1)) int32 target state of every
+        single-site move out of each of ``states`` (all states when None)."""
+        if states is None:
+            codes, digits = np.arange(self.n_states, dtype=np.int32), self.spins_matrix
+        else:
+            codes = np.asarray(states, dtype=np.int32)
+            digits = self.spins_matrix[codes]
+        n, q = self.n_sites, self.q
+        mt = np.empty((len(codes), n * (q - 1)), dtype=np.int32)
+        pow_q = 1
+        for i in range(n):
+            old = digits[:, i].astype(np.int32)
+            for r in range(q - 1):
+                new = r + (r >= old)
+                mt[:, i * (q - 1) + r] = codes + (new - old) * pow_q
+            pow_q *= q
+        return mt
+
     def move_table(self) -> np.ndarray:
         """(n_states, n_sites*(q-1)) int32 target state of every single-site move."""
         if not hasattr(self, "_move_table"):
-            n, q = self.n_sites, self.q
-            codes = np.arange(self.n_states, dtype=np.int32)
-            mt = np.empty((self.n_states, n * (q - 1)), dtype=np.int32)
-            pow_q = 1
-            for i in range(n):
-                old = self.spins_matrix[:, i].astype(np.int32)
-                for r in range(q - 1):
-                    new = r + (r >= old)
-                    mt[:, i * (q - 1) + r] = codes + (new - old) * pow_q
-                pow_q *= q
-            self._move_table = mt
+            self._move_table = self.moves_from()
         return self._move_table
+
+    def site_image(self, perm: np.ndarray) -> np.ndarray:
+        """(n_states,) int32 state carrying each state's spin ``sigma_i`` at
+        site ``perm[i]``, for a permutation ``perm`` of the sites."""
+        image = np.zeros(self.n_states, dtype=np.int32)
+        for i, p in enumerate(perm):
+            image += self.spins_matrix[:, i] * np.int32(self.q ** int(p))
+        return image
 
     def energy_levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """States sorted by energy, the distinct energies, and the slice

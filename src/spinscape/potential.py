@@ -163,7 +163,8 @@ def _solve_dirichlet_problem(
     conjugate gradients above, capped at ``m`` iterations (the bound at
     which CG terminates in exact arithmetic).  Either is followed by at
     most three rounds of iterative refinement on extended-precision
-    residuals; CG solves each correction to a relative residual of 1e-8.
+    residuals, which stop once the componentwise backward error is below
+    2^-53; CG solves each correction to a relative residual of 1e-8.
 
     Raises ``RuntimeError`` when a free state has zero total conductance
     (its conductances underflowed), when the dense Cholesky factorization
@@ -219,15 +220,20 @@ def _solve_dirichlet_problem(
     x = solve(b, 1e-15)
     # iterative refinement with extended-precision residuals; a correction
     # needs only modest relative accuracy: 1e-8 keeps the componentwise
-    # backward error below 2e-16, where 1e-6 and 1e-4 do not
+    # backward error below 2e-16, where 1e-6 and 1e-4 do not.  It stops
+    # once the residual meets the componentwise (Oettli-Prager) bound
+    # |r| <= 2^-53 (|A||x| + |b|); off the diagonal A is nonpositive, so
+    # |A||x| = 2 diag |x| - A|x|
     A_ld = A.astype(np.longdouble)
     b_ld = b.astype(np.longdouble)
+    two_diag, abs_b = 2 * diag.astype(np.longdouble), np.abs(b_ld)
     for _ in range(3):
-        r = b_ld - A_ld @ x.astype(np.longdouble)
-        corr = solve(np.asarray(r, dtype=np.float64), 1e-8)
-        x = x + corr
-        if np.max(np.abs(corr)) <= 1e-300 + 1e-16 * np.max(np.abs(x)):
+        x_ld = x.astype(np.longdouble)
+        r = b_ld - A_ld @ x_ld
+        abs_x = np.abs(x_ld)
+        if np.all(np.abs(r) <= 2.0 ** -53 * (two_diag * abs_x - A_ld @ abs_x + abs_b)):
             break
+        x = x + solve(np.asarray(r, dtype=np.float64), 1e-8)
     f[free] = x
     return f
 
@@ -646,21 +652,52 @@ def _translation_orbits(space: StateSpace) -> tuple[np.ndarray, int]:
     """Label every state of a floor space by its orbit under the lattice
     translations ``(k, l) -> (k+dk mod K, l+dl mod L)``; an open floor has
     only the identity.  Returns ``(labels, m)`` with int32 labels in
-    ``0..m-1`` (int32 like the move tables, to halve the lumping's index
-    arrays)."""
+    ``0..m-1`` numbered in the order of each orbit's least state (int32
+    like the move tables, to halve the lumping's index arrays).
+
+    Each state's least orbit member is found by min-propagation over the
+    two unit shifts, which generate the translation group:
+    ``least = min(least, least[image])`` until nothing changes."""
     spec = space.spec
-    K, L, q = spec.K, spec.L, spec.q
+    K, L = spec.K, spec.L
     site = np.arange(spec.n_sites)
     k, l = site % K, site // K
-    shifts = np.ndindex(K, L) if spec.boundary == PERIODIC else [(0, 0)]
-    least = None
-    for dk, dl in shifts:
-        # the shifted configuration carries spin sigma_i at site perm[i]
-        perm = (k + dk) % K + K * ((l + dl) % L)
-        code = space.spins_matrix @ q ** perm.astype(np.int64)
-        least = code if least is None else np.minimum(least, code, out=least)
-    reps, labels = np.unique(least, return_inverse=True)
-    return labels.astype(np.int32), len(reps)
+    units = [(k + 1) % K + K * l, k + K * ((l + 1) % L)] if spec.boundary == PERIODIC else []
+    images = [space.site_image(perm) for perm in units]
+    least, before = np.arange(space.n_states, dtype=np.int32), None
+    while before is None or not np.array_equal(least, before):
+        before = least
+        for image in images:
+            least = np.minimum(least, least[image])
+    is_rep = least == np.arange(space.n_states)
+    labels = (np.cumsum(is_rep, dtype=np.int32) - 1)[least]
+    return labels, int(np.count_nonzero(is_rep))
+
+
+def _orbit_chain(space: StateSpace, beta: float, labels: np.ndarray, m: int) -> WeightedChain:
+    """``chain_from_space(space, beta).lumped(labels, m)``, built from one
+    representative state per class without the full chain.
+
+    The classes must be orbits of a group of lattice symmetries, so that
+    every member of a class ``I`` has the same energy and the same
+    conductances into each class ``J``.  Then ``mu_I = |I| w(rep_I) / Z``
+    with ``Z = sum_I |I| w(rep_I)``, and the conductance between classes
+    ``I < J`` is ``|I| sum_{y in J, y ~ rep_I} exp(-beta max(E_rep, E_y)) / Z``:
+    the representative's single-flip moves, counted once per member of
+    ``I``."""
+    size = np.bincount(labels, minlength=m)
+    rep = np.empty(m, dtype=np.int32)
+    rep[labels] = np.arange(space.n_states, dtype=np.int32)  # any member will do
+    E = space.energies.astype(np.float64)
+    w = size * np.exp(-beta * E[rep])  # ground energy is 0, so no overflow
+    Z = w.sum()
+    moves = space.moves_from(rep)
+    # each class pair once, from its lower class
+    frm, j = np.nonzero(labels[moves] > np.arange(m)[:, None])
+    y = moves[frm, j]
+    cond = size[frm] * np.exp(-beta * np.maximum(E[rep[frm]], E[y])) / Z
+    c = sp.csr_matrix((cond, (frm, labels[y])), shape=(m, m)).tocoo()  # summed per pair
+    return WeightedChain(n=m, src=c.row, dst=c.col, cond=c.data, mu=w / Z)
 
 
 def kappa2d_stand_in(spec2d, beta_star: float = 4.0) -> tuple[float, int]:
@@ -676,13 +713,15 @@ def kappa2d_stand_in(spec2d, beta_star: float = 4.0) -> tuple[float, int]:
     Metropolis chain is translation-invariant and both monochrome end
     states are fixed by every translation, so the equilibrium potential
     is constant on orbits, and the lumped chain (summed conductances and
-    masses) has the same capacity and ``sum mu h``.
+    masses) has the same capacity and ``sum mu h``.  The orbit chain is
+    built from one representative state per orbit (``_orbit_chain``), so
+    the full floor chain is never assembled.
     """
     space2d = enumerate_space(spec2d)
     g = space2d.ground_states()
     gamma2d = comm_height(space2d, g[1], g[2])
     labels, m = _translation_orbits(space2d)
-    chain = chain_from_space(space2d, beta_star).lumped(labels, m)
+    chain = _orbit_chain(space2d, beta_star, labels, m)
     E = mean_hitting_exact(chain, labels[g[1]], [labels[g[2]]])
     return float(math.exp(-gamma2d * beta_star) * E), int(gamma2d)
 

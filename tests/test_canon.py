@@ -125,6 +125,13 @@ class TestBuilders:
         assert (desc.a, desc.b) == (1, 2)
         assert desc.P.length == 2 and desc.m0 == 3
 
+    def test_canonical_refuses_arcs_of_another_size(self):
+        # arcs of 5 floors on an 8-floor lattice, as build_regular refuses
+        spec = LatticeSpec(3, 4, 8, 2, "periodic")
+        shape = FloorShape(kind="plain", a=1, b=2, l=1, v=2)
+        with pytest.raises(ValueError, match="arc size does not match M"):
+            build_canonical(spec, 1, 2, TorusArc(5, 5, 2), TorusArc(5, 4, 3), shape)
+
     def test_canonical_rejects_bad_floor(self):
         P = TorusArc(5, 1, 2)
         Q = TorusArc(5, 1, 3)

@@ -1,6 +1,7 @@
 """Potential theory: Dirichlet forms, capacities, gaps, aux chains, flows."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,32 @@ class TestConjugateGradientBranch:
             assert np.max(err) <= 2e-16
 
 
+class TestRefinementStop:
+    """Refinement stops once the residual meets the componentwise bound
+    2^-53 (|A||x| + |b|), or after three rounds; the backward error ends
+    below 2e-16 on both solver branches and on an orbit chain."""
+
+    @pytest.mark.parametrize("beta", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec(2, 2, 2, 3, "open"), LatticeSpec(2, 2, 2, 2, "open"),
+        Lattice2D(3, 3, 3, "periodic"),
+    ], ids=["2x2x2-q3-cg", "2x2x2-q2-dense", "3x3-q3-orbits"])
+    def test_componentwise_backward_error(self, spec, beta):
+        space = enumerate_space(spec)
+        g = space.ground_states()
+        if isinstance(spec, Lattice2D):
+            labels, m = pt._translation_orbits(space)
+            chain, s, t = pt._orbit_chain(space, beta, labels, m), labels[g[1]], labels[g[2]]
+        else:
+            chain, s, t = pt.chain_from_space(space, beta), g[1], g[2]
+        for ones, zeros, extra in (([s], [t], None), ([], [t], chain.mu)):
+            x = pt._solve_dirichlet_problem(chain, ones, zeros, extra)
+            A, b, idx = _reduced_system(chain, ones, zeros, extra)
+            A_ld, x_ld, b_ld = (v.astype(np.longdouble) for v in (A, x[idx], b))
+            err = np.abs(b_ld - A_ld @ x_ld) / (abs(A_ld) @ np.abs(x_ld) + np.abs(b_ld))
+            assert np.max(err) <= 2e-16
+
+
 class TestSpectralGap:
     def test_dense_vs_variational(self, space_223_open):
         gd = pt.spectral_gap(space_223_open, 3.0, method="dense")
@@ -337,6 +364,42 @@ class TestTranslationLumping:
         assert pt.capacity(lumped, [s], [t]) == pytest.approx(cap, rel=1e-10)
         assert pt.mean_hitting_exact(lumped, s, [t]) == pytest.approx(hit, rel=1e-10)
 
+    def test_labels_constant_along_every_translation(self, space_2d_34):
+        labels, _ = pt._translation_orbits(space_2d_34)
+        K, L, q = 3, 4, 2
+        site = np.arange(K * L)
+        k, l = site % K, site // K
+        for dk, dl in np.ndindex(K, L):
+            perm = (k + dk) % K + K * ((l + dl) % L)
+            shifted = space_2d_34.spins_matrix @ q ** perm.astype(np.int64)
+            assert np.array_equal(labels[shifted], labels)
+
+    @pytest.mark.parametrize("beta", [2.0, 4.0])
+    @pytest.mark.parametrize("K, L, q", [(3, 3, 3), (3, 4, 2)])
+    def test_orbit_chain_is_the_lumped_chain(self, K, L, q, beta):
+        space = enumerate_space(Lattice2D(K, L, q, "periodic"))
+        labels, m = pt._translation_orbits(space)
+        got = pt._orbit_chain(space, beta, labels, m)
+        want = pt.chain_from_space(space, beta).lumped(labels, m)
+        G, W = (sp.csr_matrix((c.cond, (c.src, c.dst)), shape=(m, m)) for c in (got, want))
+        G.sum_duplicates()
+        W.sum_duplicates()
+        assert np.array_equal(G.indptr, W.indptr) and np.array_equal(G.indices, W.indices)
+        assert np.all(np.abs(G.data - W.data) <= 1e-14 * W.data)
+        assert np.all(np.abs(got.mu - want.mu) <= 1e-14 * want.mu)
+
+    def test_orbit_chain_on_open_floor_is_the_full_chain(self):
+        space = enumerate_space(Lattice2D(3, 3, 2, "open"))
+        labels, m = pt._translation_orbits(space)
+        got = pt._orbit_chain(space, 3.0, labels, m)
+        want = pt.chain_from_space(space, 3.0)
+        order = np.lexsort((want.dst, want.src))
+        assert got.n == want.n
+        assert np.array_equal(got.src, want.src[order])
+        assert np.array_equal(got.dst, want.dst[order])
+        assert np.all(np.abs(got.cond - want.cond[order]) <= 1e-14 * want.cond[order])
+        assert np.all(np.abs(got.mu - want.mu) <= 1e-14 * want.mu)
+
 
 class TestConstants:
     def test_kappa2d_stand_in(self):
@@ -344,6 +407,17 @@ class TestConstants:
         k2d, gamma2d = pt.kappa2d_stand_in(spec2d, beta_star=3.0)
         assert gamma2d == 8
         assert k2d > 0
+
+    def test_kappa2d_traced_peak_per_floor_state(self):
+        # built from one state per orbit, the orbit chain peaks at about
+        # 260 B per floor state; lumping the full floor chain took 624 B
+        tracemalloc.start()
+        try:
+            pt.kappa2d_stand_in(Lattice2D(3, 4, 3, "periodic"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 400 * 3 ** 12
 
     def test_bundle_structure(self):
         spec = LatticeSpec(3, 4, 8, 3, "periodic")
