@@ -23,7 +23,7 @@ from itertools import permutations
 import numpy as np
 
 from .energy import energy, flip_delta
-from .lattice import (Lattice2D, LatticeSpec, OPEN, PERIODIC, SpinConfig,
+from .lattice import (Lattice2D, LatticeSpec, OPEN, PERIODIC, Site, SpinConfig,
                       axis_permutations, monochrome)
 
 __all__ = [
@@ -176,15 +176,21 @@ class FloorShape:
     h: int = 0
 
 
+def _slab(spec, a: int, b: int, P: TorusArc) -> np.ndarray:
+    """The spin array shaped ``spec.dims[::-1]`` whose layers along the
+    slowest axis (floors of a lattice, rows of a floor) spin ``b`` in ``P``
+    and ``a`` elsewhere."""
+    arr = np.full(spec.dims[::-1], a, dtype=np.int16)
+    arr[[m - 1 for m in P.members()]] = b
+    return arr
+
+
 def xi_plain(spec2d: Lattice2D, a: int, b: int, l: int, v: int) -> SpinConfig:
     """The band configuration: spin ``b`` on rows ``l..l+v-1`` (mod L)."""
-    K, L = spec2d.K, spec2d.L
+    L = spec2d.L
     if not 0 <= v <= L:
         raise ValueError("band width v out of range [0, L]")
-    arr = np.full((L, K), a, dtype=np.int16)
-    for j in range(v):
-        arr[(l - 1 + j) % L] = b
-    return SpinConfig(spec2d, arr.ravel())
+    return SpinConfig(spec2d, _slab(spec2d, a, b, TorusArc(L, (l - 1) % L + 1, v)).ravel())
 
 
 def xi_side(
@@ -196,6 +202,8 @@ def xi_side(
     ``"minus"`` (row ``l-1``).
     """
     K, L = spec2d.K, spec2d.L
+    if side not in ("plus", "minus"):
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     if not 0 <= v <= L - 1:
         raise ValueError("band width v out of range [0, L-1]")
     if not 0 <= h <= K:
@@ -217,29 +225,17 @@ def build_floor(spec2d: Lattice2D, shape: FloorShape) -> SpinConfig:
     raise ValueError(f"unknown floor kind {shape.kind!r}")
 
 
-def _theta(eta: SpinConfig) -> SpinConfig:
-    """Transpose of a square 2D configuration."""
-    spec = eta.spec
-    arr = eta.spins.reshape(spec.L, spec.K)
-    return SpinConfig(spec, np.ascontiguousarray(arr.T).ravel())
-
-
-def _with_theta(spec2d: Lattice2D, configs) -> set[int]:
-    """Codes of the configs, closed under transposition when K = L."""
-    out = set()
-    for c in configs:
-        out.add(c.code)
-        if spec2d.K == spec2d.L:
-            out.add(_theta(c).code)
-    return out
+def _orbit_codes(configs) -> frozenset[int]:
+    """Codes of the configs, closed under the floor's axis swaps (the
+    transpose when K = L)."""
+    return frozenset(img.code for c in configs for img in c.upsilon_orbit())
 
 
 @lru_cache(maxsize=None)
 def regular_2d_codes(spec2d: Lattice2D, a: int, b: int, v: int) -> frozenset[int]:
     """Codes of all width-``v`` b-band configurations (plus transposes when
     K = L)."""
-    configs = [xi_plain(spec2d, a, b, l, v) for l in range(1, spec2d.L + 1)]
-    return frozenset(_with_theta(spec2d, configs))
+    return _orbit_codes(xi_plain(spec2d, a, b, l, v) for l in range(1, spec2d.L + 1))
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +247,7 @@ def protuberance_2d_codes(spec2d: Lattice2D, a: int, b: int, v: int) -> frozense
             for h in range(1, spec2d.K):
                 configs.append(xi_side(spec2d, a, b, l, v, k, h, "plus"))
                 configs.append(xi_side(spec2d, a, b, l, v, k, h, "minus"))
-    return frozenset(_with_theta(spec2d, configs))
+    return _orbit_codes(configs)
 
 
 @lru_cache(maxsize=None)
@@ -275,8 +271,12 @@ def bulk_gamma_2d_codes(spec2d: Lattice2D, a: int, b: int) -> frozenset[int]:
     return frozenset(out)
 
 
+#: Most states the 2D saddle-extension search visits before it refuses.
+_ZETA_STATE_BUDGET = 500_000
+
+
 @lru_cache(maxsize=None)
-def zeta_2d_codes(spec2d: Lattice2D, a: int, b: int, max_states: int = 500_000) -> frozenset[int]:
+def zeta_2d_codes(spec2d: Lattice2D, a: int, b: int) -> frozenset[int]:
     """The 2D saddle extensions reachable from width-2 bands.
 
     All configurations reachable from a width-2 b-band by a path whose
@@ -311,7 +311,7 @@ def zeta_2d_codes(spec2d: Lattice2D, a: int, b: int, max_states: int = 500_000) 
                     if c in visited or c in avoid:
                         continue
                     visited.add(c)
-                    if len(visited) > max_states:
+                    if len(visited) > _ZETA_STATE_BUDGET:
                         raise RuntimeError(
                             "2D saddle-extension search exceeded the state budget"
                         )
@@ -341,13 +341,6 @@ def gateway_2d_types(spec2d: Lattice2D, a: int, b: int) -> dict:
 # ---------------------------------------------------------------------------
 # 3D builders
 # ---------------------------------------------------------------------------
-
-def _slab(spec: LatticeSpec, a: int, b: int, P: TorusArc) -> np.ndarray:
-    """The ``(M, L, K)`` spin array: floors in ``P`` spin ``b``, rest ``a``."""
-    arr = np.full((spec.M, spec.L, spec.K), a, dtype=np.int16)
-    arr[[m - 1 for m in P.members()]] = b
-    return arr
-
 
 def build_regular(
     spec: LatticeSpec, a: int, b: int, P: TorusArc, orientation: str | None = None
@@ -671,8 +664,7 @@ def canonical_path(
     for m in floors_order:
         for l in rows_order:
             for k in cols_order:
-                idx = (k - 1) + K * (l - 1) + K * L * (m - 1)
-                flips.append((idx, b))
+                flips.append((spec.site_index(Site(k, l, m)), b))
     return _path_from_flips(start, flips)
 
 
@@ -696,27 +688,24 @@ def escape_path(spec: LatticeSpec, a: int, b: int, n: int) -> PathSeq:
         raise ValueError(f"require 1 <= n <= isqrt(K)-1 = {math.isqrt(K) - 1}")
     start = SpinConfig(spec, _slab(spec, a, b, TorusArc(M, 1, n)).ravel())
 
-    def idx(k, l, m):
-        return (k - 1) + K * (l - 1) + K * L * (m - 1)
-
     flips = []
     stages = {}
     s0 = len(flips)
     for k in range(1, K + 1):
         for l in range(1, n + 1):
             for m in range(1, n + 1):
-                flips.append((idx(k, l, m), a))
+                flips.append((spec.site_index(Site(k, l, m)), a))
     stages["stage1"] = (s0, len(flips))
     s0 = len(flips)
     for l in range(n + 1, L):
         for k in range(1, K + 1):
             for m in range(1, n + 1):
-                flips.append((idx(k, l, m), a))
+                flips.append((spec.site_index(Site(k, l, m)), a))
     stages["stage2"] = (s0, len(flips))
     s0 = len(flips)
     for k in range(1, K + 1):
         for m in range(1, n + 1):
-            flips.append((idx(k, L, m), a))
+            flips.append((spec.site_index(Site(k, L, m)), a))
     stages["stage3"] = (s0, len(flips))
     return _path_from_flips(start, flips, stages)
 

@@ -99,6 +99,10 @@ def _resolve(args: argparse.Namespace) -> dict:
     cfg: dict = {}
     if getattr(args, "config", None):
         cfg.update(_read_config_file(args.config))
+        unknown = sorted(set(cfg) - set(vars(args)))
+        if unknown:
+            raise SystemExit(f"error: unknown config key(s) for {args.command}: "
+                             + ", ".join(unknown))
     for key in ("lattice", "boundary", "q", "seed", "limit_states", "out",
                 "beta", "n_samples", "state_code", "spin_a", "spin_b",
                 "escape_n", "kind", "replay", "what"):

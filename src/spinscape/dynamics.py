@@ -245,7 +245,6 @@ def simulate_hit(
     beta: float,
     seed: int,
     step_budget: int = 10_000_000,
-    record_events: bool = True,
 ) -> TrajectorySample:
     """Simulate the continuous-time dynamics until ``target`` first holds.
 
@@ -278,8 +277,7 @@ def simulate_hit(
         a = a0 + 1
         table.apply_flip(x, a)
         spins[x] = a
-        if record_events:
-            sample.events.append((t, x, a))
+        sample.events.append((t, x, a))
         current = spins.copy()
         current.flags.writeable = False
         if target(SpinConfig._trusted(spec, current)):

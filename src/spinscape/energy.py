@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice2D, LatticeSpec, PERIODIC, Site, SpinConfig
+from .lattice import Lattice2D, LatticeSpec, PERIODIC, Site, SpinConfig, axis_images
 
 __all__ = [
     "energy",
@@ -209,37 +209,6 @@ class Low2DClass:
     axis: str | None = None
 
 
-def _slab_params(arr: np.ndarray, spec: Lattice2D):
-    """If rows are constant and form a two-value circular band pattern,
-    return (v, a, b) with b the band of width v (1 <= v <= L-1)."""
-    L = arr.shape[0]
-    row_vals = []
-    for l in range(L):
-        row = arr[l]
-        if not np.all(row == row[0]):
-            return None
-        row_vals.append(int(row[0]))
-    vals = sorted(set(row_vals))
-    if len(vals) != 2:
-        return None
-    x, y = vals
-    seq = np.array(row_vals)
-    for b_val, a_val in ((x, y), (y, x)):
-        band = seq == b_val
-        v = int(band.sum())
-        # circular-arc test: the b-band must be one contiguous arc
-        changes = int(np.count_nonzero(band != np.roll(band, 1)))
-        if spec.boundary == PERIODIC:
-            contiguous = changes == 2
-        else:
-            # open boundary: contiguous interval
-            idx = np.flatnonzero(band)
-            contiguous = idx[-1] - idx[0] + 1 == v
-        if contiguous and 1 <= v <= L - 1:
-            return v, a_val, b_val
-    return None
-
-
 def classify_2d_lowenergy(eta: SpinConfig) -> Low2DClass:
     """Classify a periodic 2D configuration with energy below ``2K + 2``.
 
@@ -256,28 +225,25 @@ def classify_2d_lowenergy(eta: SpinConfig) -> Low2DClass:
     H = energy(eta)
     if H >= 2 * spec.K + 2:
         return Low2DClass(kind="none")
-    arr = eta.spins.reshape(spec.L, spec.K)
-
-    # Slab with constant rows (band along the l-axis).
-    p = _slab_params(arr, spec)
-    if p is not None:
-        v, a, b = p
+    # A slab has constant rows taking two values, the smaller one (b) on a
+    # single circular band of rows (so the other value is on one too).  Rows
+    # first, then columns on a square floor, the only floor where such
+    # column slabs stay below the saddle.
+    for label, perm in axis_images((spec.L, spec.K)).items():
+        arr = eta.spins[perm].reshape(spec.L, spec.K)
+        vals = np.unique(arr[:, 0])
+        band = arr[:, 0] == vals[0]
+        if not ((arr == arr[:, :1]).all() and len(vals) == 2
+                and np.count_nonzero(band != np.roll(band, 1)) == 2):
+            continue
+        v, a, b = int(band.sum()), int(vals[1]), int(vals[0])
+        axis = "lk"[int(label[0])]  # the floor axis indexing the image's rows
         if 2 <= v <= spec.L - 2:
-            return Low2DClass(kind="L1", v=v, a=a, b=b, axis="l")
+            return Low2DClass(kind="L1", v=v, a=a, b=b, axis=axis)
         if v == 1:
-            return Low2DClass(kind="L2", v=1, a=a, b=b, axis="l")
+            return Low2DClass(kind="L2", v=1, a=a, b=b, axis=axis)
         # v == L-1: same slab seen as a width-1 band of the other spin
-        return Low2DClass(kind="L2", v=1, a=b, b=a, axis="l")
-    # Slab with constant columns (only distinct from the above when K = L
-    # keeps such configurations below the saddle).
-    p = _slab_params(np.ascontiguousarray(arr.T), spec) if spec.K == spec.L else None
-    if p is not None:
-        v, a, b = p
-        if 2 <= v <= spec.K - 2:
-            return Low2DClass(kind="L1", v=v, a=a, b=b, axis="k")
-        if v == 1:
-            return Low2DClass(kind="L2", v=1, a=a, b=b, axis="k")
-        return Low2DClass(kind="L2", v=1, a=b, b=a, axis="k")
+        return Low2DClass(kind="L2", v=1, a=b, b=a, axis=axis)
 
     bs = bridge_stats(eta)
     for a in range(1, spec.q + 1):

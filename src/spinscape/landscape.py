@@ -116,11 +116,12 @@ class StateSpace:
         return self._move_table
 
     def site_image(self, perm: np.ndarray) -> np.ndarray:
-        """(n_states,) int32 state carrying each state's spin ``sigma_i`` at
-        site ``perm[i]``, for a permutation ``perm`` of the sites."""
+        """(n_states,) int32 state whose spins are each state's ``spins[perm]``
+        (site ``i`` takes the spin of site ``perm[i]``), for a permutation
+        ``perm`` of the sites, as in :func:`~spinscape.lattice.axis_images`."""
         image = np.zeros(self.n_states, dtype=np.int32)
         for i, p in enumerate(perm):
-            image += self.spins_matrix[:, i] * np.int32(self.q ** int(p))
+            image += self.spins_matrix[:, int(p)] * np.int32(self.q ** i)
         return image
 
     def energy_levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,9 +12,11 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,6 +32,7 @@ __all__ = [
     "Site",
     "SpinConfig",
     "axis_permutations",
+    "axis_images",
     "monochrome",
     "is_ground",
 ]
@@ -48,8 +51,7 @@ def _grid_bonds(dims: tuple[int, ...], boundary: str) -> np.ndarray:
     axis extent is >= 3 (extent-2 periodic axes would create doubled bonds
     and are rejected at spec construction time).
     """
-    n = int(np.prod(dims))
-    idx = np.arange(n).reshape(tuple(reversed(dims)))  # axes: slowest first
+    idx = np.arange(math.prod(dims)).reshape(dims[::-1])  # axes: slowest first
     ndim = len(dims)
     pairs = []
     for axis_from_fast, extent in enumerate(dims):
@@ -73,10 +75,8 @@ def _grid_bonds(dims: tuple[int, ...], boundary: str) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _grid_neighbors(dims: tuple[int, ...], boundary: str) -> tuple:
     """Per-site neighbour index lists (tuple of frozen int arrays)."""
-    n = int(np.prod(dims))
-    bonds = _grid_bonds(dims, boundary)
-    lists: list[list[int]] = [[] for _ in range(n)]
-    for i, j in bonds:
+    lists: list[list[int]] = [[] for _ in range(math.prod(dims))]
+    for i, j in _grid_bonds(dims, boundary):
         lists[i].append(int(j))
         lists[j].append(int(i))
     out = []
@@ -87,17 +87,60 @@ def _grid_neighbors(dims: tuple[int, ...], boundary: str) -> tuple:
     return tuple(out)
 
 
-def _validate_boundary(boundary: str) -> None:
-    if boundary not in (PERIODIC, OPEN):
-        raise ValueError(f"boundary must be {PERIODIC!r} or {OPEN!r}, got {boundary!r}")
-
-
 # ---------------------------------------------------------------------------
 # Specs
 # ---------------------------------------------------------------------------
 
+class _Grid:
+    """Validation and geometry shared by the lattice, floor and pillar specs.
+
+    A spec lists its extents in ``dims``, fastest-varying axis first, and
+    carries ``q`` and ``boundary``.  Extents must be nondecreasing, and the
+    smallest at least 3 on a torus (so that no site pair is doubly
+    adjacent) and at least ``_open_min`` on a box.
+    """
+
+    _open_min = 2
+
+    def __post_init__(self) -> None:
+        if self.boundary not in (PERIODIC, OPEN):
+            raise ValueError(
+                f"boundary must be {PERIODIC!r} or {OPEN!r}, got {self.boundary!r}"
+            )
+        dims = self.dims
+        if list(dims) != sorted(dims):
+            raise ValueError(f"require nondecreasing extents, got {dims}")
+        least = 3 if self.boundary == PERIODIC else self._open_min
+        if dims[0] < least:
+            raise ValueError(
+                f"{self.boundary} boundary requires every extent >= {least}, got {dims}"
+            )
+        if self.q < 2:
+            raise ValueError(f"require q >= 2, got q={self.q}")
+
+    @cached_property
+    def n_sites(self) -> int:
+        return math.prod(self.dims)
+
+    @property
+    def bonds(self) -> np.ndarray:
+        """(n_bonds, 2) array of linear site indices; each bond once."""
+        return _grid_bonds(self.dims, self.boundary)
+
+    @property
+    def neighbor_lists(self) -> tuple:
+        return _grid_neighbors(self.dims, self.boundary)
+
+    def neighbors(self, index: int) -> list[int]:
+        """Linear indices of the sites adjacent to ``index``."""
+        i = int(index)
+        if not 0 <= i < self.n_sites:
+            raise ValueError(f"linear index {i} out of range")
+        return [int(j) for j in self.neighbor_lists[i]]
+
+
 @dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(_Grid):
     """A ``K x L x M`` lattice (``K <= L <= M``) with ``q`` spin values.
 
     ``boundary`` is ``"periodic"`` (torus; requires ``K >= 3`` so that no
@@ -110,27 +153,9 @@ class LatticeSpec:
     q: int
     boundary: str = PERIODIC
 
-    def __post_init__(self) -> None:
-        _validate_boundary(self.boundary)
-        if not (1 <= self.K <= self.L <= self.M):
-            raise ValueError(f"require 1 <= K <= L <= M, got {(self.K, self.L, self.M)}")
-        kmin = 3 if self.boundary == PERIODIC else 2
-        if self.K < kmin:
-            raise ValueError(
-                f"{self.boundary} boundary requires K >= {kmin}, got K={self.K}"
-            )
-        if self.q < 2:
-            raise ValueError(f"require q >= 2, got q={self.q}")
-
-    # -- geometry ----------------------------------------------------------
-
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.K, self.L, self.M)
-
-    @property
-    def n_sites(self) -> int:
-        return self.K * self.L * self.M
 
     def site_index(self, site: "Site") -> int:
         self._check_site(site)
@@ -148,15 +173,6 @@ class LatticeSpec:
         if not (1 <= site.k <= self.K and 1 <= site.l <= self.L and 1 <= site.m <= self.M):
             raise ValueError(f"site {site} out of range for {self.dims}")
 
-    @property
-    def bonds(self) -> np.ndarray:
-        """(n_bonds, 2) array of linear site indices; each bond once."""
-        return _grid_bonds(self.dims, self.boundary)
-
-    @property
-    def neighbor_lists(self) -> tuple:
-        return _grid_neighbors(self.dims, self.boundary)
-
     def neighbors(self, site: "Site | int") -> list:
         """Sites at Euclidean distance 1 from ``site`` (wrap iff periodic).
 
@@ -164,12 +180,8 @@ class LatticeSpec:
         (returns linear indices).
         """
         if isinstance(site, Site):
-            i = self.site_index(site)
-            return [self.site_at(int(j)) for j in self.neighbor_lists[i]]
-        i = int(site)
-        if not 0 <= i < self.n_sites:
-            raise ValueError(f"linear index {i} out of range")
-        return [int(j) for j in self.neighbor_lists[i]]
+            return [self.site_at(j) for j in super().neighbors(self.site_index(site))]
+        return super().neighbors(site)
 
     # -- derived lower-dimensional specs -----------------------------------
 
@@ -183,7 +195,7 @@ class LatticeSpec:
 
 
 @dataclass(frozen=True)
-class Lattice2D:
+class Lattice2D(_Grid):
     """A ``K x L`` single-floor lattice; linear index ``(k-1) + K*(l-1)``."""
 
     K: int
@@ -191,74 +203,24 @@ class Lattice2D:
     q: int
     boundary: str = PERIODIC
 
-    def __post_init__(self) -> None:
-        _validate_boundary(self.boundary)
-        if not (1 <= self.K <= self.L):
-            raise ValueError(f"require 1 <= K <= L, got {(self.K, self.L)}")
-        kmin = 3 if self.boundary == PERIODIC else 2
-        if self.K < kmin:
-            raise ValueError(
-                f"{self.boundary} boundary requires K >= {kmin}, got K={self.K}"
-            )
-        if self.q < 2:
-            raise ValueError(f"require q >= 2, got q={self.q}")
-
     @property
     def dims(self) -> tuple[int, int]:
         return (self.K, self.L)
 
-    @property
-    def n_sites(self) -> int:
-        return self.K * self.L
-
-    @property
-    def bonds(self) -> np.ndarray:
-        return _grid_bonds(self.dims, self.boundary)
-
-    @property
-    def neighbor_lists(self) -> tuple:
-        return _grid_neighbors(self.dims, self.boundary)
-
-    def neighbors(self, index: int) -> list[int]:
-        """Linear indices of the sites adjacent to ``index``."""
-        i = int(index)
-        if not 0 <= i < self.n_sites:
-            raise ValueError(f"linear index {i} out of range")
-        return [int(j) for j in self.neighbor_lists[i]]
-
 
 @dataclass(frozen=True)
-class Lattice1D:
-    """A length-``N`` lattice carrying one pillar."""
+class Lattice1D(_Grid):
+    """A length-``N`` lattice carrying one pillar (``N >= 1`` when open)."""
 
     N: int
     q: int
     boundary: str = PERIODIC
 
-    def __post_init__(self) -> None:
-        _validate_boundary(self.boundary)
-        if self.N < 1:
-            raise ValueError(f"require N >= 1, got {self.N}")
-        if self.boundary == PERIODIC and self.N < 3:
-            raise ValueError(f"periodic boundary requires N >= 3, got N={self.N}")
-        if self.q < 2:
-            raise ValueError(f"require q >= 2, got q={self.q}")
+    _open_min = 1
 
     @property
     def dims(self) -> tuple[int]:
         return (self.N,)
-
-    @property
-    def n_sites(self) -> int:
-        return self.N
-
-    @property
-    def bonds(self) -> np.ndarray:
-        return _grid_bonds(self.dims, self.boundary)
-
-    @property
-    def neighbor_lists(self) -> tuple:
-        return _grid_neighbors(self.dims, self.boundary)
 
 
 @dataclass(frozen=True, order=True)
@@ -286,6 +248,25 @@ def axis_permutations(extents: tuple[int, ...]) -> tuple[str, ...]:
         for perm in permutations(range(len(extents)))
         if all(extents[p] == e for p, e in zip(perm, extents))
     )
+
+
+@lru_cache(maxsize=None)
+def axis_images(shape: tuple[int, ...]) -> MappingProxyType:
+    """For each label of :func:`axis_permutations` of ``shape``, the site
+    permutation ``perm`` with ``spins[perm]`` the image of ``spins`` under
+    that axis permutation of the array shaped ``shape``.
+
+    ``shape`` lists extents slowest axis first (``spec.dims[::-1]``).  One
+    convention for every spec: site ``i`` of the image carries the spin of
+    site ``perm[i]``.
+    """
+    idx = np.arange(math.prod(shape)).reshape(shape)
+    images = {}
+    for label in axis_permutations(shape):
+        perm = idx.transpose([int(c) for c in label]).ravel()
+        perm.setflags(write=False)
+        images[label] = perm
+    return MappingProxyType(images)
 
 
 #: ``SpinConfig.permute`` swap name -> (axis-permutation label, requirement)
@@ -431,19 +412,21 @@ class SpinConfig:
     # -- symmetry ----------------------------------------------------------
 
     def transpose(self, label: str) -> "SpinConfig":
-        """Image under the :attr:`array3d` axis permutation ``label``.
+        """Image under the axis permutation ``label`` of the spin array
+        shaped ``spec.dims[::-1]`` (:attr:`array3d` on a 3D lattice).
 
         ``label`` names the source axis of each result axis (``"021"``
-        swaps the l and k axes) and must be one of
-        :func:`axis_permutations` of the extents.
+        swaps the l and k axes of a lattice, ``"10"`` transposes a floor)
+        and must be one of :func:`axis_permutations` of the extents.
         """
-        arr = self.array3d
-        if label not in axis_permutations(arr.shape):
-            if sorted(str(label)) != ["0", "1", "2"]:
+        shape = self.spec.dims[::-1]
+        if label not in axis_permutations(shape):
+            if sorted(str(label)) != [str(i) for i in range(len(shape))]:
                 raise ValueError(f"bad orientation label {label!r}")
             raise ValueError(f"orientation {label!r} not allowed on this lattice")
-        perm = [int(c) for c in label]
-        return SpinConfig(self.spec, np.ascontiguousarray(arr.transpose(perm)).ravel())
+        spins = self.spins[axis_images(shape)[label]]
+        spins.setflags(write=False)
+        return SpinConfig._trusted(self.spec, spins)
 
     def permute(self, swap: str) -> "SpinConfig":
         """Axis-swap image; ``swap`` in {"12", "23", "13"}.
@@ -461,11 +444,12 @@ class SpinConfig:
     def upsilon_orbit(self) -> set["SpinConfig"]:
         """Closure of ``{self}`` under all allowed axis swaps.
 
-        ``{self}`` when K < L < M; the two-element closure when exactly one
-        pair of extents coincides; the full 6-permutation closure when
-        K = L = M.
+        On a lattice: ``{self}`` when K < L < M; the two-element closure
+        when exactly one pair of extents coincides; the full 6-permutation
+        closure when K = L = M.  On a square floor: ``self`` and its
+        transpose.
         """
-        return {self.transpose(p) for p in axis_permutations(self.array3d.shape)}
+        return {self.transpose(p) for p in axis_permutations(self.spec.dims[::-1])}
 
     # -- serialization -----------------------------------------------------
 

@@ -700,7 +700,11 @@ def _orbit_chain(space: StateSpace, beta: float, labels: np.ndarray, m: int) -> 
     return WeightedChain(n=m, src=c.row, dst=c.col, cond=c.data, mu=w / Z)
 
 
-def kappa2d_stand_in(spec2d, beta_star: float = 4.0) -> tuple[float, int]:
+#: The large stable beta at which :func:`constants` solves the 2D stand-in.
+_BETA_STAR = 4.0
+
+
+def kappa2d_stand_in(spec2d, beta_star: float = _BETA_STAR) -> tuple[float, int]:
     """Numerical 2D prefactor: ``exp(-Gamma2D * beta) * E[hitting time]``
     between the first two 2D ground states, at a large stable beta.
 
@@ -715,14 +719,16 @@ def kappa2d_stand_in(spec2d, beta_star: float = 4.0) -> tuple[float, int]:
     is constant on orbits, and the lumped chain (summed conductances and
     masses) has the same capacity and ``sum mu h``.  The orbit chain is
     built from one representative state per orbit (``_orbit_chain``), so
-    the full floor chain is never assembled.
+    the full floor chain is never assembled.  The barrier is swept after
+    the solve, once the orbit chain is released, so the floor's move table
+    (which the sweep builds and keeps) never coexists with it.
     """
     space2d = enumerate_space(spec2d)
     g = space2d.ground_states()
-    gamma2d = comm_height(space2d, g[1], g[2])
     labels, m = _translation_orbits(space2d)
-    chain = _orbit_chain(space2d, beta_star, labels, m)
-    E = mean_hitting_exact(chain, labels[g[1]], [labels[g[2]]])
+    E = mean_hitting_exact(_orbit_chain(space2d, beta_star, labels, m),
+                           labels[g[1]], [labels[g[2]]])
+    gamma2d = comm_height(space2d, g[1], g[2])
     return float(math.exp(-gamma2d * beta_star) * E), int(gamma2d)
 
 
@@ -734,11 +740,7 @@ def _bulk_denominator(K: int, L: int, M: int) -> int:
     return 6 * M  # K == L == M
 
 
-def constants(
-    spec,
-    e_values: dict | None = None,
-    beta_star: float = 4.0,
-) -> ConstantsBundle:
+def constants(spec, e_values: dict | None = None) -> ConstantsBundle:
     """Assemble the prefactor constants for a lattice instance.
 
     ``e_values`` maps partition size ``n`` to the edge constant; missing
@@ -747,10 +749,10 @@ def constants(
     """
     K, L, M, q = spec.K, spec.L, spec.M, spec.q
     m_K = mk_mK(K)
-    kappa2d, gamma2d = kappa2d_stand_in(spec.floor_spec(), beta_star)
+    kappa2d, gamma2d = kappa2d_stand_in(spec.floor_spec())
     D = _bulk_denominator(K, L, M)
     prov: dict = {
-        "kappa2d": f"numerical-stand-in (translation-lumped 2D exact solve at beta={beta_star}, "
+        "kappa2d": f"numerical-stand-in (translation-lumped 2D exact solve at beta={_BETA_STAR}, "
         f"brute 2D barrier {gamma2d})",
         "b": "closed form from the window count and the 2D stand-in",
     }

@@ -82,6 +82,10 @@ class TestFloorFamilies:
             eta = xi_side(self.spec2d, 1, 2, 1, v, 2, 1, "plus")
             assert energy2d(eta) == 2 * self.spec2d.K + 2
 
+    def test_xi_side_refuses_unknown_side(self):
+        with pytest.raises(ValueError, match="side"):
+            xi_side(self.spec2d, 1, 2, 1, 1, 1, 1, "foo")
+
     def test_band_counts(self):
         assert len(regular_2d_codes(self.spec2d, 1, 2, 2)) == self.spec2d.L
 

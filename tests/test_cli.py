@@ -244,6 +244,12 @@ class TestConfigFile:
         assert code == 0
         assert rep["barrier"]["lattice"]["L"] == 4
 
+    def test_unknown_key_refused(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("lattice = 3x4\nseeed = 5\n")
+        with pytest.raises(SystemExit, match="error: .*seeed"):
+            main(["barrier", "--config", str(cfgfile)])
+
 
 # Runs in a fresh interpreter: the rest of the suite imports scipy, and a
 # module once in sys.modules would hide a regression here.

@@ -15,7 +15,7 @@ from spinscape.landscape import (
     typical_sets,
     valley_depths,
 )
-from spinscape.lattice import Lattice2D, LatticeSpec, monochrome
+from spinscape.lattice import Lattice2D, LatticeSpec, axis_images, monochrome
 
 
 class TestEnumeration:
@@ -52,6 +52,20 @@ class TestEnumeration:
             # target differs from source in exactly one site
             diff = space.config(t).spins != c.spins
             assert diff.sum() == 1
+
+
+    @pytest.mark.parametrize("spec", [LatticeSpec(2, 2, 2, 2, "open"),
+                                      Lattice2D(3, 3, 2, "periodic")])
+    def test_site_image_matches_transpose(self, spec):
+        # one gather convention: the image state's spins are spins[perm]
+        space = enumerate_space(spec)
+        images = axis_images(spec.dims[::-1])
+        assert len(images) == (6 if len(spec.dims) == 3 else 2)
+        for label, perm in images.items():
+            got = space.site_image(perm)
+            want = [space.index_of(space.config(s).transpose(label))
+                    for s in range(space.n_states)]
+            assert np.array_equal(got, want)
 
 
 class TestCommHeight:

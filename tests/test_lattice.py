@@ -11,6 +11,7 @@ from spinscape.lattice import (
     LatticeSpec,
     Site,
     SpinConfig,
+    axis_images,
     axis_permutations,
     is_ground,
     monochrome,
@@ -37,6 +38,36 @@ class TestSpecValidation:
     def test_q_ge_2(self):
         with pytest.raises(ValueError):
             LatticeSpec(3, 3, 3, 1, "periodic")
+
+    @pytest.mark.parametrize("cls, args, ok", [
+        (LatticeSpec, (3, 3, 3, 2, "periodic"), True),
+        (LatticeSpec, (2, 2, 2, 2, "open"), True),
+        (LatticeSpec, (1, 2, 2, 2, "open"), False),
+        (LatticeSpec, (3, 4, 4, 2, "twisted"), False),
+        (LatticeSpec, (3, 5, 4, 2, "periodic"), False),
+        (Lattice2D, (3, 4, 2, "periodic"), True),
+        (Lattice2D, (2, 2, 3, "open"), True),
+        (Lattice2D, (2, 4, 2, "periodic"), False),
+        (Lattice2D, (1, 4, 2, "open"), False),
+        (Lattice2D, (4, 3, 2, "open"), False),
+        (Lattice2D, (3, 3, 1, "periodic"), False),
+        (Lattice2D, (3, 3, 2, "twisted"), False),
+        (Lattice1D, (3, 2, "periodic"), True),
+        (Lattice1D, (1, 2, "open"), True),
+        (Lattice1D, (2, 2, "periodic"), False),
+        (Lattice1D, (0, 2, "open"), False),
+        (Lattice1D, (4, 1, "open"), False),
+        (Lattice1D, (4, 2, "twisted"), False),
+    ])
+    def test_validation_table(self, cls, args, ok):
+        # one rule for all three specs: known boundary, nondecreasing
+        # extents, q >= 2, smallest extent >= 3 periodic / >= 2 open
+        # (>= 1 for an open pillar)
+        if ok:
+            cls(*args)
+        else:
+            with pytest.raises(ValueError):
+                cls(*args)
 
     def test_n_sites(self):
         assert LatticeSpec(3, 4, 5, 2, "periodic").n_sites == 60
@@ -138,6 +169,29 @@ class TestSymmetries:
             c.transpose("102")
         with pytest.raises(ValueError, match="bad orientation"):
             c.transpose("12")
+
+    @pytest.mark.parametrize("K, L, size", [(3, 3, 2), (4, 4, 2), (3, 4, 1)])
+    def test_floor_transpose_and_orbit(self, K, L, size):
+        spec = Lattice2D(K, L, 3, "periodic")
+        c = random_config(spec, 9)
+        arr = c.spins.reshape(L, K)
+        orbit = c.upsilon_orbit()
+        assert len(orbit) == size and c in orbit
+        if K == L:
+            assert np.array_equal(c.transpose("10").spins.reshape(L, K), arr.T)
+            assert orbit == {c, c.transpose("10")}
+        else:
+            with pytest.raises(ValueError, match="not allowed"):
+                c.transpose("10")
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3), (3, 3, 3), (2, 3, 4)])
+    def test_axis_images_gather(self, shape):
+        spins = np.arange(int(np.prod(shape)))
+        images = axis_images(shape)
+        assert tuple(images) == axis_permutations(shape)
+        for label, perm in images.items():
+            want = spins.reshape(shape).transpose([int(c) for c in label]).ravel()
+            assert np.array_equal(spins[perm], want)
 
     def test_permute_involution(self):
         spec = LatticeSpec(3, 3, 5, 2, "periodic")

@@ -419,6 +419,18 @@ class TestConstants:
             tracemalloc.stop()
         assert peak <= 400 * 3 ** 12
 
+    def test_kappa2d_move_table_and_orbit_chain_apart(self):
+        # the barrier sweep's move table (96 B per state) is built only
+        # after the orbit chain is released: about 156 B per floor state,
+        # against 260 B when the two coexisted
+        tracemalloc.start()
+        try:
+            pt.kappa2d_stand_in(Lattice2D(3, 4, 3, "periodic"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * 3 ** 12
+
     def test_bundle_structure(self):
         spec = LatticeSpec(3, 4, 8, 3, "periodic")
         bundle = pt.constants(spec)
