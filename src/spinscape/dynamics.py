@@ -8,15 +8,20 @@ an ensemble sampler over enumerated spaces, and the ground-state trace
 transform.  ``simulate_hit`` keeps its moves in the bins of the n-fold way
 (Bortz, Kalos and Lebowitz 1975), one per energy raise, so drawing and
 updating a move costs O(degree * q) whatever the lattice size.  The
-ensemble sampler compresses the returning excursions ``s -> n -> s`` at
-each strict local minimum ``s`` into one exact draw (a geometric count,
-the exact escape law, and deferred Gamma holding times), in the spirit of
-absorbing-Markov-chain Monte Carlo (Novotny 1995); the escape neighbour
-and its next move come from one alias draw (Vose 1991) over their joint
-law.
+ensemble sampler cuts each hitting time at its returns to the start
+state (regenerative simulation, Crane and Iglehart 1975): one lane per
+walker runs excursions from the start, each indexed when it begins, and
+walkers are assembled from them in index order, so no lane idles while
+the slowest walkers finish.  Every jump is one alias draw (Vose 1991)
+from per-state tables.  The returning excursions ``s -> n -> s`` at each
+strict local minimum ``s`` are compressed into one exact draw (a
+geometric count, the exact escape law, and deferred Gamma holding
+times), in the spirit of absorbing-Markov-chain Monte Carlo (Novotny
+1995); the escape neighbour and its next move come from one alias draw
+over their joint law.
 
 RNG: numpy's ``default_rng`` (PCG64); the ensemble sampler drives all its
-walkers from one ``SeedSequence``-seeded generator.  All sampling is
+lanes from one ``SeedSequence``-seeded generator.  All sampling is
 reproducible given the seed.
 """
 
@@ -352,6 +357,12 @@ def trace_transform(
 # Ensemble sampler over an enumerated space
 # ---------------------------------------------------------------------------
 
+_WINDOW = 16  # finished, unfolded excursions the buffer holds, per lane
+_SLOTS = 2  # centres whose return counts a buffered excursion keeps
+_UNINDEXED = np.iinfo(np.int64).max  # index of a lane that no walker takes
+_ALIAS_ROWS = 1024  # laws turned into alias tables at a time
+
+
 def sample_hitting_times(
     space,
     start_state: int,
@@ -367,24 +378,48 @@ def sample_hitting_times(
     ``space`` is an enumerated state space (see ``landscape.enumerate_space``),
     ``start_state`` a state index and ``target_mask`` a boolean array over
     states.  The walkers follow exactly the continuous-time law (embedded
-    jump chain plus exponential clocks from precomputed per-state jump
-    tables) and run in lockstep through a single generator, so results
-    depend only on ``seed`` and ``n_samples``.
+    jump chain from per-state alias tables plus exponential clocks), driven
+    by a single generator, so results depend only on ``seed`` and
+    ``n_samples``.
 
-    Loops at local minima are compressed exactly.  A walker at a *centre*,
+    Each hitting time is cut at its returns to ``start_state``, which are
+    renewals (regenerative simulation, Crane and Iglehart 1975).
+    ``n_samples`` lanes run *excursions* from ``start_state`` in lockstep:
+    an excursion ends at its next arrival at ``start_state`` (a failure)
+    or at a target (a success), and its lane starts the next one at once.
+    Each excursion takes the next global index when it starts, and walkers
+    are assembled in index order: walker ``i`` is the excursions after the
+    ``(i-1)``-th success up to and including the ``i``-th, its time, jumps
+    and loop returns their sums.  Finished excursions wait in a buffer of
+    fixed capacity, ``16 * n_samples`` records, until every lower index
+    has finished; a lane that would index past the buffer runs an
+    excursion that is discarded.  An excursion's randomness is drawn after
+    its index is fixed, so the indexed excursions are independent and
+    identically distributed, and each walker has exactly the law of the
+    hitting time.
+
+    Loops at local minima are compressed exactly.  A lane at a *centre*,
     a non-target state every move of which raises the energy, draws in one
     step the geometric number of excursions ``s -> n -> s`` that return,
-    the neighbour it escapes through, and that neighbour's next state.
-    The holding times at the centre and on the returning excursions do not
-    change the path, so only their counts are kept, and their Gamma-sum
-    times are drawn once every walker has hit.
+    the neighbour it escapes through, and that neighbour's next state;
+    unless that ends its excursion or is another centre, it then makes its
+    ordinary jump in the same lockstep iteration.  The holding times at
+    the centre and on the returning excursions do not change the path, so
+    only their counts are kept, and their Gamma-sum times are drawn once
+    every walker is assembled.  An excursion keeps the counts of the first
+    two centres it returns to; the holding times of its returns at any
+    further centre are drawn at once, which leaves the law unchanged and
+    every buffered excursion the same size.
 
-    ``max_steps`` bounds the embedded jumps of the whole ensemble,
-    compressed ones included; ``return_steps`` also returns each walker's
-    number of embedded jumps.  A ``RuntimeError`` reports an exceeded
-    budget, naming the centre when a single loop would pass it.  A
-    ``ValueError`` refuses a start outside ``[0, n_states)`` and a mask that
-    is not a boolean array of shape ``(n_states,)``.
+    ``max_steps`` bounds every embedded jump the ensemble simulates:
+    compressed ones, and those of excursions that are discarded or run
+    past the last walker's success, count too.  ``return_steps`` also
+    returns each walker's number of embedded jumps, the sum over its
+    excursions.  A ``RuntimeError`` reports an exceeded budget with the
+    number of walkers still unassembled, naming the centre when a single
+    loop would pass it.  A ``ValueError`` refuses a start outside
+    ``[0, n_states)`` and a mask that is not a boolean array of shape
+    ``(n_states,)``.
     """
     if not 0 <= start_state < space.n_states:
         raise ValueError(f"start index {start_state} outside [0, {space.n_states})")
@@ -394,88 +429,189 @@ def sample_hitting_times(
                          f"got {target_mask.dtype} of shape {target_mask.shape}")
     tab = _jump_tables(space, beta, target_mask)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    result = np.zeros(n_samples, dtype=np.float64)
-    step_counts = np.zeros(n_samples, dtype=np.int64)
-    # returning excursions of each walker from each centre
-    returns = np.zeros((n_samples, len(tab.centres)), dtype=np.int64)
-    # per-live-walker state, compacted whenever walkers hit
-    alive = np.arange(n_samples) if not target_mask[start_state] else np.arange(0)
-    cur = np.full(len(alive), start_state, dtype=np.intp)
-    clock = np.zeros(len(alive), dtype=np.float64)
-    extra = np.zeros(len(alive), dtype=np.int64)  # jumps beyond one per iteration
-    iters = used = 0
-    while len(alive):
-        # one jump of every walker; a walker at a centre holds there for this
-        # draw's time, then replaces the jump by its loop
-        u = rng.random(len(alive))
-        clock += rng.standard_exponential(len(alive)) * tab.inv_total[cur]
-        nxt = tab.moves[cur, _draw(tab.cum, cur, u)]
-        row = tab.centre_of[cur]
-        at = np.flatnonzero(row >= 0)
-        if len(at):
-            r = row[at]
-            # K returning excursions: P(K >= k) = p_return**k
-            K = np.floor(rng.standard_exponential(len(at)) * tab.inv_log_return[r])
-            # the escape neighbour and its next state, in one alias draw
-            o = _alias_draw(tab.loop_prob, tab.loop_alias, r, u[at])
-            loop_extra = 2.0 * K + tab.loop_go_on[o]
-            added = loop_extra.sum()
-        else:
-            loop_extra, added = np.zeros(0), 0
-        if not used + len(alive) + added <= max_steps:
-            raise RuntimeError(_budget_message(
-                tab, max_steps, len(alive), max_steps - used - len(alive) + 1,
-                loop_extra + 1, cur[at], row[at]))
-        used += len(alive) + int(added)
-        iters += 1
-        if len(at):
-            returns[alive[at], r] += K.astype(np.int64)
-            extra[at] += loop_extra.astype(np.int64)
-            # a non-target escape neighbour holds before its next move
-            clock[at] += rng.standard_exponential(len(at)) * tab.loop_hold[o]
-            nxt[at] = tab.loop_next[o]
-        cur = nxt
-        hit = target_mask[cur]
-        if hit.any():
-            done = alive[hit]
-            result[done] = clock[hit]
-            step_counts[done] = iters + extra[hit]
-            keep = ~hit
-            alive, cur, clock, extra = alive[keep], cur[keep], clock[keep], extra[keep]
-    result += _deferred_loop_times(tab, returns, rng)
+    walkers = _Walkers(n_samples, len(tab.centres))
+    if n_samples and not target_mask[start_state]:
+        _run_lanes(tab, start_state, target_mask, walkers, max_steps, rng)
+    result = walkers.time + _deferred_loop_times(tab, walkers.returns, rng)
     if return_steps:
-        return result, step_counts
+        return result, walkers.steps
     return result
 
 
+class _Walkers:
+    """Walkers assembled from finished excursions in index order: walker
+    ``i`` sums the excursions after the ``(i-1)``-th success up to and
+    including the ``i``-th."""
+
+    def __init__(self, n: int, n_centres: int):
+        self.time = np.zeros(n)
+        self.steps = np.zeros(n, dtype=np.int64)
+        self.returns = np.zeros((n, n_centres), dtype=np.int64)  # per centre
+        self.done = 0  # walkers assembled
+
+    def fold(self, time, steps, centre, returns, success) -> None:
+        """Add the next finished excursions, in index order: their times,
+        jumps, return counts ``returns`` at loop-table rows ``centre`` (one
+        row per slot, -1 for an empty one) and success flags.  Excursions
+        after the last walker's success are dropped."""
+        need = len(self.time) - self.done
+        ends = np.flatnonzero(success)
+        if len(ends) >= need:
+            cut = ends[need - 1] + 1
+            time, steps, success = time[:cut], steps[:cut], success[:cut]
+            centre, returns = centre[:, :cut], returns[:, :cut]
+        walker = self.done + np.cumsum(success) - success
+        np.add.at(self.time, walker, time)
+        np.add.at(self.steps, walker, steps)
+        flat = self.returns.reshape(-1)
+        for c, k in zip(centre, returns):
+            looped = c >= 0
+            np.add.at(flat, walker[looped] * self.returns.shape[1] + c[looped], k[looped])
+        self.done += min(len(ends), need)
+
+
+def _run_lanes(tab, start: int, target_mask, walkers: _Walkers, max_steps: int, rng) -> None:
+    """Run one lane of excursions from ``start`` per walker, folding them
+    into ``walkers`` until every walker is assembled."""
+    n = len(walkers.time)
+    cap = _WINDOW * n
+    # the running excursion of each lane: its time, jumps, the loop-table
+    # rows of the first _SLOTS centres it returns to (-1 for none), its
+    # returns at each, and its index
+    cur = np.full(n, start, dtype=tab.moves.dtype)
+    clock = np.zeros(n)
+    steps = np.zeros(n, dtype=np.int64)
+    centre = np.full((_SLOTS, n), -1, dtype=np.int32)
+    returns = np.zeros((_SLOTS, n), dtype=np.int64)
+    index = np.arange(n, dtype=np.int64)
+    # the same of finished excursions, at their index mod cap, and whether
+    # they hit a target
+    buf_time = np.zeros(cap)
+    buf_steps = np.zeros(cap, dtype=np.int64)
+    buf_centre = np.zeros((_SLOTS, cap), dtype=np.int32)
+    buf_returns = np.zeros((_SLOTS, cap), dtype=np.int64)
+    buf_success = np.zeros(cap, dtype=bool)
+    issued = n  # excursion indices handed out
+    folded = 0  # excursion indices folded into walkers
+    used = 0
+    while walkers.done < n:
+        # a lane at a centre first loops: it holds there, returns K times,
+        # escapes through a neighbour n_j and holds there (unless n_j is a
+        # target) before n_j's next move
+        row = tab.centre_of.take(cur)
+        at = np.flatnonzero(row >= 0)
+        r = row[at]
+        hold_s, draw, hold_n = rng.standard_exponential((3, len(at)))
+        # K returning excursions: P(K >= k) = p_return**k
+        K = np.floor(draw * tab.inv_log_return[r])
+        # the escape neighbour and its next state, in one alias draw
+        o = _alias_draw(tab.loop_prob, tab.loop_alias, r, rng.random(len(at)))
+        loop_jumps = 2.0 * K + tab.loop_go_on[o] + 1.0
+        after = tab.loop_next[o]
+        # then every lane not at a target, a centre or back at the start
+        # holds and makes one jump
+        move = np.ones(n, dtype=bool)
+        move[at] = ~(target_mask[after] | (after == start) | (tab.centre_of[after] >= 0))
+        added = loop_jumps.sum() + np.count_nonzero(move)
+        if not used + added <= max_steps:
+            raise RuntimeError(_budget_message(
+                tab, max_steps, n - walkers.done, max_steps - used, loop_jumps, cur[at], r))
+        used += int(added)
+        if len(at):
+            _keep_returns(tab, at, r, K.astype(np.int64), centre, returns, clock, rng)
+            steps[at] += loop_jumps.astype(np.int64)
+            clock[at] += hold_s * tab.inv_total.take(cur[at]) + hold_n * tab.loop_hold[o]
+            cur[at] = after
+        u = rng.random(n)
+        nxt = tab.moves.take(_alias_draw(tab.jump_prob, tab.jump_alias, cur, u))
+        clock += np.where(move, rng.standard_exponential(n) * tab.inv_total.take(cur), 0.0)
+        steps += move
+        cur = np.where(move, nxt, cur)
+        hit = target_mask[cur]
+        end = np.flatnonzero(hit | (cur == start))
+        if not len(end):
+            continue
+        kept = end[index[end] != _UNINDEXED]
+        slot = index[kept] % cap
+        buf_time[slot] = clock[kept]
+        buf_steps[slot] = steps[kept]
+        for j in range(_SLOTS):
+            buf_centre[j][slot] = centre[j][kept]
+            buf_returns[j][slot] = returns[j][kept]
+        buf_success[slot] = hit[kept]
+        index[end] = _UNINDEXED
+        # fold the excursions below the oldest index still running, once
+        # there are n of them, in slices of the buffer of at most n
+        oldest = min(int(index.min()), issued)
+        if oldest - folded >= n:
+            while folded < oldest and walkers.done < n:
+                lo = folded % cap
+                hi = min(lo + oldest - folded, cap, lo + n)
+                walkers.fold(buf_time[lo:hi], buf_steps[lo:hi], buf_centre[:, lo:hi],
+                             buf_returns[:, lo:hi], buf_success[lo:hi])
+                folded += hi - lo
+        # the lanes that ended start over, indexed while the buffer has room
+        cur[end] = start
+        clock[end] = 0.0
+        steps[end] = 0
+        for j in range(_SLOTS):
+            centre[j][end] = -1
+            returns[j][end] = 0
+        fresh = end[:folded + cap - issued]
+        index[fresh] = np.arange(issued, issued + len(fresh))
+        issued += len(fresh)
+
+
+def _keep_returns(tab, lanes, rows, K, centre, returns, clock, rng) -> None:
+    """Credit ``K`` returns at loop-table rows ``rows`` to the running
+    excursions of ``lanes``.  An excursion keeps the counts of the first
+    ``_SLOTS`` centres it returns to, so a buffered excursion has a fixed
+    size; returns at any further centre add their holding times to the
+    excursion's clock at once."""
+    looped = K > 0
+    lanes, rows, K = lanes[looped], rows[looped], K[looped]
+    for c, k in zip(centre, returns):
+        held = c[lanes]
+        mine = (held < 0) | (held == rows)
+        if mine.all():
+            c[lanes] = rows
+            k[lanes] += K
+            return
+        c[lanes[mine]] = rows[mine]
+        k[lanes[mine]] += K[mine]
+        lanes, rows, K = lanes[~mine], rows[~mine], K[~mine]
+    clock[lanes] += _loop_times(tab, rows, K, rng)
+
+
 def _deferred_loop_times(tab, returns, rng) -> np.ndarray:
-    """Per-walker time of the returning excursions ``s -> n -> s``: each
-    adds one hold at the centre, ``Gamma(K)/R_s``, and one at a neighbour,
-    ``Gamma(count)/R_n`` after a multinomial split of the ``K`` returns."""
+    """Per-walker time of the returning excursions ``s -> n -> s`` counted
+    in ``returns`` (walkers, centres), drawn one centre at a time."""
     t = np.zeros(len(returns))
     for c in np.flatnonzero(returns.any(axis=0)):
-        K = returns[:, c]
-        s = tab.centres[c]
-        t += np.where(K > 0, rng.gamma(K) * tab.inv_total[s], 0.0)
-        counts = rng.multinomial(K, tab.return_law[c])
-        t += (rng.gamma(counts) * tab.inv_total[tab.moves[s]]).sum(axis=1)
+        t += _loop_times(tab, c, returns[:, c], rng)
     return t
 
 
-def _budget_message(tab, max_steps, n_alive, room, loop_jumps, states, rows) -> str:
-    msg = f"ensemble step budget {max_steps} exceeded with {n_alive} walkers unfinished"
+def _loop_times(tab, rows, K, rng) -> np.ndarray:
+    """Time of ``K`` returning excursions ``s -> n -> s`` at loop-table
+    rows ``rows`` (one row, or one per count): each adds one hold at the
+    centre, ``Gamma(K)/R_s``, and one at a neighbour, ``Gamma(count)/R_n``
+    after a multinomial split of the ``K`` returns."""
+    s = tab.centres[rows]
+    t = np.where(K > 0, rng.gamma(K) * tab.inv_total[s], 0.0)
+    counts = rng.multinomial(K, tab.return_law[rows])
+    return t + (rng.gamma(counts) * tab.inv_total[tab.moves[s]]).sum(axis=-1)
+
+
+def _budget_message(tab, max_steps, n_unassembled, room, loop_jumps, states, rows) -> str:
+    msg = (f"ensemble step budget {max_steps} exceeded with {n_unassembled} "
+           f"walkers still unassembled")
     if len(loop_jumps):
         k = int(np.argmax(np.where(loop_jumps <= room, loop_jumps, np.inf)))
         if not loop_jumps[k] <= room:
             msg += (f": the loop at state {int(states[k])} escapes with probability "
                     f"{tab.p_escape[rows[k]]:.3g} per excursion")
     return msg
-
-
-def _draw(cum: np.ndarray, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Outcome of each column ``cols`` of the cumulative laws ``cum`` for
-    the uniform draws ``u``."""
-    return (cum.take(cols, axis=1) < u).sum(axis=0)
 
 
 def _alias_draw(prob: np.ndarray, alias: np.ndarray, rows: np.ndarray,
@@ -493,54 +629,64 @@ def _alias_draw(prob: np.ndarray, alias: np.ndarray, rows: np.ndarray,
 
 def _alias_tables(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Alias tables (Vose, IEEE Trans. Softw. Eng. 17, 972, 1991) of every
-    row of the laws ``law`` (rows, width), built for all rows at once.
+    row of the laws ``law`` (rows, width), built ``_ALIAS_ROWS`` rows at a
+    time so that the work arrays stay small.
 
     Returns ``prob`` (rows, width) and ``alias`` (rows, width), the latter
-    as flat indices into the whole table.  Each step pairs, in every row
-    with both, a column of scaled weight below 1 with one of weight at
+    as int32 flat indices into the whole table.  Each step pairs, in every
+    row with both, a column of scaled weight below 1 with one of weight at
     least 1: the small one is finished, and the large one gives it the
     rest of its unit and becomes small if that leaves it below 1.
     """
     rows, width = law.shape
-    P = law * width
-    prob = np.ones_like(P)
-    alias = np.tile(np.arange(width), (rows, 1))
-    # each row's small columns are a stack in order[:, :n_small], its large
-    # ones a stack in order[:, top:], with n_small <= top throughout
-    order = np.argsort(P >= 1.0, axis=1, kind="stable")
-    n_small = np.count_nonzero(P < 1.0, axis=1)
-    top = n_small.copy()
-    live = np.flatnonzero((n_small > 0) & (top < width))
-    while len(live):
-        h = n_small[live] - 1
-        small, large = order[live, h], order[live, top[live]]
-        prob[live, small] = P[live, small]
-        alias[live, small] = large
-        P[live, large] += P[live, small] - 1.0
-        fell = P[live, large] < 1.0
-        # a large column that falls below 1 takes the small one's place
-        order[live[fell], h[fell]] = large[fell]
-        top[live[fell]] += 1
-        n_small[live[~fell]] -= 1
-        live = live[(n_small[live] > 0) & (top[live] < width)]
-    return prob, alias + width * np.arange(rows)[:, None]
+    if rows * width > np.iinfo(np.int32).max:
+        raise ValueError(f"{rows} x {width} outcomes overflow int32 alias indices")
+    prob = np.ones((rows, width))
+    alias = np.empty((rows, width), dtype=np.int32)
+    for lo in range(0, rows, _ALIAS_ROWS):
+        P = law[lo:lo + _ALIAS_ROWS] * width
+        n = len(P)
+        p = prob[lo:lo + n]
+        a = np.tile(np.arange(width), (n, 1))
+        # each row's small columns are a stack in order[:, :n_small], its
+        # large ones a stack in order[:, top:], with n_small <= top throughout
+        order = np.argsort(P >= 1.0, axis=1, kind="stable")
+        n_small = np.count_nonzero(P < 1.0, axis=1)
+        top = n_small.copy()
+        live = np.flatnonzero((n_small > 0) & (top < width))
+        while len(live):
+            h = n_small[live] - 1
+            small, large = order[live, h], order[live, top[live]]
+            p[live, small] = P[live, small]
+            a[live, small] = large
+            P[live, large] += P[live, small] - 1.0
+            fell = P[live, large] < 1.0
+            # a large column that falls below 1 takes the small one's place
+            order[live[fell], h[fell]] = large[fell]
+            top[live[fell]] += 1
+            n_small[live[~fell]] -= 1
+            live = live[(n_small[live] > 0) & (top[live] < width)]
+        alias[lo:lo + n] = a + width * np.arange(lo, lo + n)[:, None]
+    return prob, alias
 
 
 @dataclass(frozen=True)
 class _JumpTables:
     """Per-state jump tables, plus the loop tables of each centre ``s``.
 
-    Row ``c`` of the loop tables belongs to state ``centres[c]``, and
-    move ``j`` to its neighbour ``n_j = moves[s, j]``; column
+    Row ``x`` of ``jump_prob`` and ``jump_alias`` is the alias table of the
+    jump law of state ``x``, whose outcome ``x * n_moves + j`` is move
+    ``j``.  Row ``c`` of the loop tables belongs to state ``centres[c]``,
+    and move ``j`` to its neighbour ``n_j = moves[s, j]``; column
     ``c * n_moves + j`` of ``exit_cum`` is the law of ``n_j``'s next move
     given that it does not go back to ``s``.  A cumulative law over ``m``
-    outcomes is a column of its first ``m - 1`` partial sums (columns
-    gather faster than rows); outcome ``(cum < u).sum()`` for ``u``
-    uniform on ``[0, 1)``.
+    outcomes is a column of its first ``m - 1`` partial sums; outcome
+    ``(cum < u).sum()`` for ``u`` uniform on ``[0, 1)``.
     """
 
-    moves: np.ndarray  # (n_states, n_moves) target state of every move
-    cum: np.ndarray  # (n_moves - 1, n_states) cumulative jump law
+    moves: np.ndarray  # (n_states, n_moves) int32 target state of every move
+    jump_prob: np.ndarray  # (n_states, n_moves) alias tables of the jump law
+    jump_alias: np.ndarray  # (n_states, n_moves) int32 flat outcome index
     inv_total: np.ndarray  # (n_states,) mean holding time, inf if the rates underflow
     centre_of: np.ndarray  # (n_states,) loop-table row of a centre, else -1
     centres: np.ndarray  # (n_centres,) state of each centre
@@ -554,7 +700,7 @@ class _JumpTables:
     # centre, and per outcome j * n_moves + k: the walker's next state, the
     # mean hold at n_j (0 if n_j is a target) and whether it moves on from n_j
     loop_prob: np.ndarray  # (n_centres, n_moves**2)
-    loop_alias: np.ndarray  # (n_centres, n_moves**2) flat outcome index
+    loop_alias: np.ndarray  # (n_centres, n_moves**2) int32 flat outcome index
     loop_next: np.ndarray  # (n_centres * n_moves**2,)
     loop_hold: np.ndarray  # (n_centres * n_moves**2,)
     loop_go_on: np.ndarray  # (n_centres * n_moves**2,)
@@ -583,11 +729,21 @@ def _law(cum: np.ndarray) -> np.ndarray:
 def _jump_tables(space, beta: float, target_mask: np.ndarray) -> _JumpTables:
     """Jump tables of every state, and loop tables of the centres: the
     non-target states every move of which raises the energy."""
-    # intp indexes faster than the int32 move table
-    moves = space.move_table().astype(np.intp)
+    moves = space.move_table()
     deltas = space.move_deltas()  # (n_states, n_moves) energy change
-    rates = np.exp(-beta * np.maximum(deltas, 0.0))
-    total = rates.sum(axis=1)
+    # each state's jump law from its rate exponents max(dH, 0) shifted by
+    # their least, finite at any beta, built in place in one array
+    law = deltas.astype(np.float64)
+    np.maximum(law, 0.0, out=law)
+    least = law.min(axis=1)
+    law -= least[:, None]
+    law *= -beta
+    np.exp(law, out=law)
+    weight = law.sum(axis=1)
+    law /= weight[:, None]
+    jump_prob, jump_alias = _alias_tables(law)
+    del law
+    total = np.exp(-beta * least) * weight
     centres = np.flatnonzero((deltas > 0).all(axis=1) & ~target_mask)
     centre_of = np.full(space.n_states, -1, dtype=np.intp)
     centre_of[centres] = np.arange(len(centres))
@@ -597,11 +753,12 @@ def _jump_tables(space, beta: float, target_mask: np.ndarray) -> _JumpTables:
     w = np.exp(-beta * (d - d.min(axis=1, keepdims=True)))  # finite at any beta
     p = w / w.sum(axis=1, keepdims=True)  # p(s -> n)
     back = moves[nbr] == centres[:, None, None]  # (C, m, m) the move of n to s
-    away = np.where(back, 0.0, rates[nbr])  # non-return rates of each neighbour
+    rates = np.exp(-beta * np.maximum(deltas[nbr], 0.0))  # (C, m, m) of each n
+    away = np.where(back, 0.0, rates)  # non-return rates of each neighbour
     R_n = total[nbr]
     stop = target_mask[nbr]
     esc = p * np.where(stop, 1.0, away.sum(axis=2) / R_n)
-    ret = p * np.where(stop, 0.0, (rates[nbr] * back).sum(axis=2) / R_n)
+    ret = p * np.where(stop, 0.0, (rates * back).sum(axis=2) / R_n)
     p_escape = esc.sum(axis=1)
     p_return = ret.sum(axis=1)
     with np.errstate(divide="ignore"):
@@ -617,7 +774,8 @@ def _jump_tables(space, beta: float, target_mask: np.ndarray) -> _JumpTables:
     go_on = np.broadcast_to(~stop[:, :, None], shape)
     return _JumpTables(
         moves=moves,
-        cum=_cumulative(rates),
+        jump_prob=jump_prob,
+        jump_alias=jump_alias,
         inv_total=inv_total,
         centre_of=centre_of,
         centres=centres,

@@ -1,6 +1,7 @@
 """Dynamics: rates, kernel normalization, detailed balance, simulation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,112 @@ class TestEnsemble:
         assert np.all(t == 0.0)
 
 
+def _survival(space, beta, start, target_mask):
+    """``t -> P(tau > t)`` for the hitting time of ``target_mask`` from
+    ``start``, from a dense eigendecomposition of the generator restricted
+    to the non-target states, symmetrized by the Gibbs weights."""
+    E = space.energies.astype(np.float64)
+    free = np.flatnonzero(~target_mask)
+    pos = np.full(space.n_states, -1)
+    pos[free] = np.arange(len(free))
+    nbr = space.move_table()[free].astype(np.int64)
+    rates = np.exp(-beta * np.maximum(E[nbr] - E[free, None], 0.0))
+    Q = np.zeros((len(free), len(free)))
+    Q[np.arange(len(free)), np.arange(len(free))] = -rates.sum(axis=1)
+    rows, cols = np.nonzero(~target_mask[nbr])
+    Q[rows, pos[nbr[rows, cols]]] += rates[rows, cols]
+    d = np.exp(-beta * (E[free] - E.min()) / 2)  # sqrt of the Gibbs weights
+    lam, V = np.linalg.eigh(d[:, None] * Q / d[None, :])
+    i = pos[start]
+    a = V[i] / d[i] * (V.T @ d)
+    return lambda t: np.exp(np.outer(t, lam)) @ a
+
+
+class TestRenewalLanes:
+    """The walkers assembled from excursions have the exact hitting law."""
+
+    @pytest.fixture(scope="class")
+    def space_222(self):
+        from spinscape.landscape import enumerate_space
+
+        return enumerate_space(LatticeSpec(2, 2, 2, 2, "open"))
+
+    @pytest.mark.parametrize("variant", ["as-built", "window-1", "one-slot"])
+    @pytest.mark.parametrize("start", ["ground", "off-centre"])
+    def test_cdf_within_dkw_band_of_exact_law(self, space_222, start, variant, monkeypatch):
+        # a buffer of one excursion per lane sends most lanes to discarded
+        # excursions, and one slot per excursion draws most loops at a
+        # second centre at once: neither may change the law
+        if variant == "window-1":
+            monkeypatch.setattr(dy, "_WINDOW", 1)
+        if variant == "one-slot":
+            monkeypatch.setattr(dy, "_SLOTS", 1)
+        space, beta, n = space_222, 2.0, 2000
+        g = space.ground_states()
+        mask = np.zeros(space.n_states, bool)
+        mask[g[2]] = True
+        s = g[1] if start == "ground" else int(space.move_table()[g[1], 0])
+        times = np.sort(dy.sample_hitting_times(space, s, mask, beta, n, seed=23))
+        cdf = 1.0 - _survival(space, beta, s, mask)(times)
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert ks <= math.sqrt(math.log(2 / 0.001) / (2 * n))  # 99.9 % DKW band
+
+    def test_mean_from_a_state_off_the_centres(self, space_223_open):
+        # a start every excursion leaves by a plain jump, not a loop
+        from spinscape import potential as pt
+
+        space = space_223_open
+        g = space.ground_states()
+        mask = np.zeros(space.n_states, bool)
+        mask[g[2]] = True
+        start = int(space.move_table()[g[1], 4])
+        assert not (space.move_deltas()[start] > 0).all()
+        beta = 2.0
+        times = dy.sample_hitting_times(space, start, mask, beta, 400, seed=29)
+        exact = pt.mean_hitting_exact(space, start, [g[2]], beta)
+        se = times.std(ddof=1) / math.sqrt(len(times))
+        assert abs(times.mean() - exact) <= 4 * se
+
+    def test_returns_past_the_slots_add_their_loop_times(self, space_223_open):
+        space = space_223_open
+        mask = np.zeros(space.n_states, bool)
+        mask[space.ground_states()[2]] = True
+        tab = dy._jump_tables(space, 3.0, mask)
+        S = dy._SLOTS
+        assert len(tab.centres) > S
+        centre = np.full((S, 3), -1, dtype=np.int32)
+        returns = np.zeros((S, 3), dtype=np.int64)
+        centre[:, 0], returns[:, 0] = np.arange(S), 5  # lane 0's slots are full
+        clock = np.zeros(3)
+        dy._keep_returns(tab, np.arange(3), np.array([S, S, 0]), np.array([7, 3, 0]),
+                         centre, returns, clock, np.random.default_rng(4))
+        # lane 0's loop at a further centre is timed at once, from the same draws
+        want = dy._loop_times(tab, np.array([S]), np.array([7]), np.random.default_rng(4))
+        assert clock[0] == want[0] > 0 and np.all(clock[1:] == 0.0)
+        assert np.array_equal(centre[:, 0], np.arange(S)) and np.all(returns[:, 0] == 5)
+        # lane 1 keeps its count in its first slot; lane 2 returned no time
+        assert centre[0, 1] == S and returns[0, 1] == 3
+        assert np.all(centre[:, 2] == -1) and np.all(returns[:, 2] == 0)
+
+    def test_traced_peak_is_bounded(self, space_223_open):
+        # about 160 B per state of jump tables and 0.8 KB per lane, 16
+        # buffered excursions of 41 B among them: 1.6 MB here, where a
+        # buffer holding all ~150,000 excursions would add 6 MB
+        space = space_223_open
+        g = space.ground_states()
+        mask = np.zeros(space.n_states, bool)
+        mask[g[2]] = True
+        space.move_table(), space.move_deltas()
+        dy.sample_hitting_times(space, g[1], mask, 2.0, 10, seed=1)
+        tracemalloc.start()
+        try:
+            dy.sample_hitting_times(space, g[1], mask, 2.0, 1000, seed=31)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_500_000
+
+
 def _embedded_kernel(space, beta, x):
     """Targets and probabilities of the embedded jump chain out of ``x``,
     recomputed from the energies."""
@@ -302,9 +409,11 @@ class TestLoopCompression:
         g = space.ground_states()
         mask = np.zeros(space.n_states, bool)
         mask[g[2]] = True
-        with pytest.raises(RuntimeError, match="step budget 100000 exceeded"):
+        with pytest.raises(RuntimeError, match="step budget 100000 exceeded") as err:
             dy.sample_hitting_times(space, g[1], mask, 400.0, 10, seed=1,
                                     max_steps=100_000)
+        assert "with 10 walkers still unassembled" in str(err.value)
+        assert f"the loop at state {g[1]} escapes" in str(err.value)
 
     def test_neighbour_target_mean(self, space_223_open):
         from spinscape import potential as pt
@@ -485,6 +594,42 @@ class TestEnsembleInputs:
         mask = self._target(space_222)[:-1]
         with pytest.raises(ValueError, match="boolean array of shape"):
             dy.sample_hitting_times(space_222, 0, mask, 2.0, 5, seed=1)
+
+
+class TestJumpAliasTables:
+    """Every state's jump law is one alias table, built in row blocks."""
+
+    @pytest.mark.parametrize("case, beta", [("223-q2", 3.0), ("222-q3", 2.0), ("223-q2", 400.0)])
+    def test_alias_tables_give_the_jump_law(self, case, beta, space_223_open):
+        from spinscape.landscape import enumerate_space
+
+        space = (space_223_open if case.startswith("223")
+                 else enumerate_space(LatticeSpec(2, 2, 2, 3, "open")))
+        mask = np.zeros(space.n_states, bool)
+        mask[space.ground_states()[2]] = True
+        tab = dy._jump_tables(space, beta, mask)
+        n, m = space.move_table().shape
+        assert n > dy._ALIAS_ROWS  # more than one block
+        prob, alias = tab.jump_prob, tab.jump_alias
+        assert alias.dtype == np.int32
+        # every alias stays in its own state's row
+        assert np.array_equal(alias // m, np.broadcast_to(np.arange(n)[:, None], (n, m)))
+        got = prob / m
+        np.add.at(got.reshape(-1), alias.reshape(-1), ((1.0 - prob) / m).reshape(-1))
+        # the Metropolis law, recomputed with each row's least raise taken out
+        raise_ = np.maximum(space.move_deltas(), 0)
+        want = np.exp(-beta * (raise_ - raise_.min(axis=1, keepdims=True)))
+        want /= want.sum(axis=1, keepdims=True)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        total = np.exp(-beta * raise_).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            assert np.allclose(tab.inv_total, 1.0 / total, rtol=1e-12, atol=0)
+
+    def test_flat_indices_beyond_int32_refused(self):
+        # a zero-stride view: the refusal comes before any table is allocated
+        law = np.broadcast_to(np.ones(1), (2 ** 16, 2 ** 15 + 1))
+        with pytest.raises(ValueError, match="overflow int32 alias indices"):
+            dy._alias_tables(law)
 
 
 class TestLoopAliasTables:

@@ -409,8 +409,9 @@ class TestConstants:
         assert k2d > 0
 
     def test_kappa2d_traced_peak_per_floor_state(self):
-        # built from one state per orbit, the orbit chain peaks at about
-        # 260 B per floor state; lumping the full floor chain took 624 B
+        # with the orbit chain built from one state per orbit and the 2D
+        # barrier swept after the solve, the whole call reads about 156 B
+        # per floor state; lumping the full floor chain took 624 B
         tracemalloc.start()
         try:
             pt.kappa2d_stand_in(Lattice2D(3, 4, 3, "periodic"))
