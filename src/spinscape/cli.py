@@ -310,6 +310,10 @@ def cmd_capacity(cfg: dict) -> int:
         return _budget_error(report, err, cfg.get("out"))
     g = space.ground_states()
     P, Q = [g[1]], [g[a] for a in g if a != 1]
+    if isinstance(spec, LatticeSpec):  # the test function's beta-independent inputs
+        ts = typical_sets(space, A=(1,), B=tuple(a for a in g if a != 1))
+        ts_BA = typical_sets(space, A=tuple(a for a in g if a != 1), B=(1,), gamma=ts.gamma)
+        bundle = potential.constants(spec)
     per_beta = {}
     for beta in betas:
         chain = potential.chain_from_space(space, beta)
@@ -330,10 +334,6 @@ def cmd_capacity(cfg: dict) -> int:
         _assert(report, f"mean_hitting_routes_agree_beta_{beta}",
                 entry["mean_hitting_rel_gap"] <= 1e-8, entry["mean_hitting_rel_gap"])
         if isinstance(spec, LatticeSpec):
-            ts = typical_sets(space, A=(1,), B=tuple(a for a in g if a != 1))
-            ts_BA = typical_sets(space, A=tuple(a for a in g if a != 1), B=(1,),
-                                 gamma=ts.gamma)
-            bundle = potential.constants(spec)
             h_tilde, info = potential.test_function(space, ts, ts_BA, bundle, beta)
             diag = potential.h1_diagnostics(space, h_tilde, beta, P, Q)
             entry["test_function"] = {k: v for k, v in diag.items()}

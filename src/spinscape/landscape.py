@@ -125,13 +125,10 @@ class StateSpace:
         return image
 
     def energy_levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """States sorted by energy, the distinct energies, and the slice
-        ``bounds[j]:bounds[j+1]`` of the sorted states at ``levels[j]``."""
-        if not hasattr(self, "_energy_levels"):
-            order = np.argsort(self.energies, kind="stable")
-            levels, starts = np.unique(self.energies[order], return_index=True)
-            self._energy_levels = (order, levels, np.append(starts, len(order)))
-        return self._energy_levels
+        """:func:`_energy_levels` of the energies, cached."""
+        if not hasattr(self, "_levels"):
+            self._levels = _energy_levels(self.energies)
+        return self._levels
 
     def move_deltas(self) -> np.ndarray:
         """(n_states, n_moves) energy change of every single-site move."""
@@ -144,12 +141,20 @@ class StateSpace:
         return self._move_deltas
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """All undirected single-flip edges, each once, as (src, dst) arrays."""
+        """All undirected single-flip edges, each once, as int32 (src, dst)
+        arrays: grouped by ``src`` in increasing order, ``dst > src``."""
         mt = self.move_table()
-        src = np.repeat(np.arange(self.n_states, dtype=np.int64), mt.shape[1])
-        dst = mt.ravel()
-        keep = dst > src
-        return src[keep], dst[keep]
+        up = mt > np.arange(self.n_states, dtype=np.int32)[:, None]
+        src = np.repeat(np.arange(self.n_states, dtype=np.int32), np.count_nonzero(up, axis=1))
+        return src, mt[up]
+
+
+def _energy_levels(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes sorted by energy, the distinct energies, and the slice
+    ``bounds[j]:bounds[j+1]`` of the sorted nodes at ``levels[j]``."""
+    order = np.argsort(energies, kind="stable")
+    levels, starts = np.unique(energies[order], return_index=True)
+    return order, levels, np.append(starts, len(order))
 
 
 def enumerate_space(spec, limit: int = DEFAULT_STATE_LIMIT) -> StateSpace:
@@ -187,24 +192,27 @@ def enumerate_space(spec, limit: int = DEFAULT_STATE_LIMIT) -> StateSpace:
 # Bottleneck communication heights
 # ---------------------------------------------------------------------------
 
-def _minimax_heights(space: StateSpace, roots, ceiling=None, avoid=None,
-                     stop=None) -> np.ndarray:
-    """Per-state min over paths from ``roots`` of the max energy (inclusive
+def _minimax_heights(energies: np.ndarray, moves: np.ndarray, by_energy, roots,
+                     ceiling=None, avoid=None, stop=None) -> np.ndarray:
+    """Per-node min over paths from ``roots`` of the max energy (inclusive
     of endpoints); -1 where no path stays at or below ``ceiling`` and
     outside the ``avoid`` mask.
 
-    States are released level by level in order of energy.  At level h the
-    released states touching an already reached state, plus the roots at
-    h, seed a flood fill over the released states, which marks everything
-    it reaches with h.  With a ``stop`` index array the sweep ends after
-    the first level that reaches one of its states.
+    The graph is given by its node ``energies``, the ``moves`` table whose
+    row ``x`` lists the neighbours of node ``x``, and ``by_energy``, the
+    energies' :func:`_energy_levels`: a state space's single-flip graph, or
+    a quotient of it whose nodes are classes of states.  Nodes are released
+    level by level in order of energy.  At level h the released nodes
+    touching an already reached node, plus the roots at h, seed a flood
+    fill over the released nodes, which marks everything it reaches with
+    h.  With a ``stop`` index array the sweep ends after the first level
+    that reaches one of its nodes.
     """
-    E = space.energies
-    order, levels, bounds = space.energy_levels()
-    mt = space.move_table()
-    height = np.full(space.n_states, -1, dtype=np.int64)
-    reached = np.zeros(space.n_states, dtype=bool)  # height >= 0, one byte a state
-    is_root = np.zeros(space.n_states, dtype=bool)
+    order, levels, bounds = by_energy
+    n = len(energies)
+    height = np.full(n, -1, dtype=np.int64)
+    reached = np.zeros(n, dtype=bool)  # height >= 0, one byte a node
+    is_root = np.zeros(n, dtype=bool)
     is_root[roots] = True
     for j, level in enumerate(levels):
         if ceiling is not None and level > ceiling:
@@ -212,13 +220,13 @@ def _minimax_heights(space: StateSpace, roots, ceiling=None, avoid=None,
         new = order[bounds[j]:bounds[j + 1]]
         if avoid is not None:
             new = new[~avoid[new]]
-        frontier = new[is_root[new] | reached[mt[new]].any(axis=1)]
+        frontier = new[is_root[new] | reached[moves[new]].any(axis=1)]
         while len(frontier):
             height[frontier] = level
             reached[frontier] = True
             # filter before np.unique: most targets are reached or above level
-            nxt = mt[frontier].ravel()
-            keep = (E[nxt] <= level) & ~reached[nxt]
+            nxt = moves[frontier].ravel()
+            keep = (energies[nxt] <= level) & ~reached[nxt]
             if avoid is not None:
                 keep &= ~avoid[nxt]
             frontier = np.unique(nxt[keep])
@@ -240,7 +248,8 @@ def comm_height(space: StateSpace, source, target, avoid=None):
     blocked = _as_mask(space.n_states, avoid)
     if blocked is not None and (blocked[src].any() or blocked[dst].any()):
         raise ValueError("an endpoint lies in the avoid set")
-    height = _minimax_heights(space, src, avoid=blocked, stop=dst)[dst]
+    height = _minimax_heights(space.energies, space.move_table(), space.energy_levels(), src,
+                              avoid=blocked, stop=dst)[dst]
     reached = height[height >= 0]
     return int(reached.min()) if len(reached) else None
 
@@ -300,7 +309,8 @@ def neighborhood(space: StateSpace, roots, ceiling: int, avoid=None) -> CeilingS
     blocked = _as_mask(space.n_states, avoid)
     if blocked is not None and blocked[roots].any():
         raise ValueError("a root lies in the avoid set")
-    mask = _minimax_heights(space, roots, ceiling=ceiling, avoid=blocked) >= 0
+    mask = _minimax_heights(space.energies, space.move_table(), space.energy_levels(), roots,
+                            ceiling=ceiling, avoid=blocked) >= 0
     return CeilingSet(ceiling=ceiling, mask=mask)
 
 
@@ -313,7 +323,8 @@ def valley_depths(space: StateSpace) -> np.ndarray:
 
     The minimax heights from the ground states, less the energies.
     """
-    phi = _minimax_heights(space, list(space.ground_states().values()))
+    phi = _minimax_heights(space.energies, space.move_table(), space.energy_levels(),
+                           list(space.ground_states().values()))
     if (phi < 0).any():  # pragma: no cover - irreducible spaces always settle
         raise RuntimeError("disconnected state space")
     return phi - space.energies

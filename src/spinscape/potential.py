@@ -18,7 +18,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .canon import classify_gateway, mk_mK
-from .landscape import StateSpace, TypicalSets, comm_height, enumerate_space, neighborhood
+from .landscape import (StateSpace, TypicalSets, _energy_levels, _minimax_heights,
+                        enumerate_space, neighborhood)
 from .lattice import PERIODIC
 
 __all__ = [
@@ -69,22 +70,64 @@ class WeightedChain:
     def laplacian(self) -> sp.csr_matrix:
         """The symmetric conductance Laplacian ``L`` with
         ``(L f)(x) = sum_y c_xy (f(x) - f(y))``."""
-        return self._laplacian_on(np.ones(self.n, dtype=bool)).tocsr()
+        return self._laplacian_on(np.ones(self.n, dtype=bool))
 
-    def _laplacian_on(self, keep: np.ndarray) -> sp.csc_matrix:
+    def _laplacian_on(self, keep: np.ndarray) -> sp.csr_matrix:
         """``L`` restricted to the boolean mask ``keep``: off-diagonals from
-        the edges with both ends kept, the full degree on the diagonal."""
-        pos = np.cumsum(keep) - 1
+        the edges with both ends kept, the full degree on the diagonal.
+
+        CSR with int32 indices, each row written as its lower part, its
+        diagonal and its upper part, in increasing column order.  The kept
+        edges, grouped by their lower end (every chain built here lists
+        them so; others are regrouped by a stable sort), are the rows of
+        the upper part and are written first.  scipy's counting sort then
+        transposes the positions they were written to, and the lower part
+        is copied from there.  Each temporary is released once spent, so
+        the peak is the matrix plus about 20 bytes per edge."""
+        deg = self._onto_ends(self.cond, self.cond)[keep]
+        m = len(deg)
+        pos = np.cumsum(keep, dtype=np.int32) - 1
         both = keep[self.src] & keep[self.dst]
-        i, j, c = pos[self.src[both]], pos[self.dst[both]], self.cond[both]
-        d, deg = pos[keep], self._onto_ends(self.cond, self.cond)[keep]
-        rows, cols = np.concatenate([i, j, d]), np.concatenate([j, i, d])
-        return sp.csc_matrix((np.concatenate([-c, -c, deg]), (rows, cols)), shape=(len(d),) * 2)
+        lo, hi, neg = pos[self.src[both]], pos[self.dst[both]], -self.cond[both]
+        flip = lo > hi
+        if flip.any():
+            lo[flip], hi[flip] = hi[flip], lo[flip]
+        del pos, both, flip
+        if np.any(lo[1:] < lo[:-1]):
+            order = np.argsort(lo, kind="stable")
+            lo, hi, neg = lo[order], hi[order], neg[order]
+            del order
+        upper_ptr = np.searchsorted(lo, np.arange(m + 1, dtype=np.int32))
+        del lo
+        n_lower = np.bincount(hi, minlength=m)
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(n_lower + np.diff(upper_ptr) + 1, out=indptr[1:])
+        if indptr[-1] >= 2 ** 31:
+            raise ValueError(f"the Laplacian has {indptr[-1]} entries; its int32 "
+                             "indices address at most 2**31 - 1")
+        indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+        at_diag = indptr[:-1] + n_lower
+        indices[at_diag], data[at_diag] = np.arange(m), deg
+        at = _row_positions(at_diag + 1, upper_ptr)
+        indices[at], data[at] = hi, neg
+        del neg
+        # the lower part, row by row: the column and the position written above
+        lower = sp.csr_matrix((at, hi, upper_ptr), shape=(m, m)).T.tocsr()
+        del at, hi
+        at = _row_positions(indptr[:-1], lower.indptr)
+        indices[at], data[at] = lower.indices, data[lower.data]
+        del at, lower
+        A = sp.csr_matrix((data, indices, indptr), shape=(m, m))
+        A.sum_duplicates()  # sorts rows whose upper part came unsorted, merges repeated edges
+        return A
 
     def _onto_ends(self, at_src: np.ndarray, at_dst: np.ndarray) -> np.ndarray:
-        """Sum ``at_src`` onto each edge's source and ``at_dst`` onto its destination."""
-        ends = np.concatenate([self.src, self.dst])
-        return np.bincount(ends, np.concatenate([at_src, at_dst]), minlength=self.n)
+        """Sum ``at_src`` onto each edge's source, then ``at_dst`` onto its
+        destination, each in edge order."""
+        out = np.zeros(self.n)
+        np.add.at(out, self.src, at_src)
+        np.add.at(out, self.dst, at_dst)
+        return out
 
     def generator_apply(self, f: np.ndarray) -> np.ndarray:
         """``(L_gen f)(x) = sum_y r(x,y) (f(y) - f(x))``."""
@@ -101,6 +144,14 @@ class WeightedChain:
         c = sp.triu(c + c.T, k=1).tocoo()  # each class pair once, the diagonal dropped
         return WeightedChain(n=m, src=c.row, dst=c.col, cond=c.data,
                              mu=np.bincount(labels, self.mu, minlength=m))
+
+
+def _row_positions(first: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """int32 position ``first[r] + j`` for the ``j``-th entry of each row
+    ``r`` of a CSR matrix with row pointers ``indptr``."""
+    at = np.repeat((first - indptr[:-1]).astype(np.int32), np.diff(indptr))
+    at += np.arange(indptr[-1], dtype=np.int32)
+    return at
 
 
 def chain_from_space(space: StateSpace, beta: float) -> WeightedChain:
@@ -152,18 +203,35 @@ def _as_chain(space_or_chain, beta) -> WeightedChain:
 # Equilibrium potentials and capacities
 # ---------------------------------------------------------------------------
 
+#: Rows per block of the Jacobi scaling and of the extended-precision
+#: residual, so that neither holds a temporary the size of the matrix.
+_BLOCK_ROWS = 1024
+
+
+def _row_blocks(A: sp.csr_matrix):
+    """The rows, the entries and the block-local row pointers of each
+    ``_BLOCK_ROWS``-row block of a CSR matrix."""
+    for lo in range(0, A.shape[0], _BLOCK_ROWS):
+        ptr = A.indptr[lo:lo + _BLOCK_ROWS + 1]
+        yield slice(lo, lo + len(ptr) - 1), slice(ptr[0], ptr[-1]), ptr - ptr[0]
+
+
 def _solve_dirichlet_problem(
     chain: WeightedChain, ones_set, zeros_set, rhs_extra: np.ndarray | None = None
 ) -> np.ndarray:
     """Solve ``L f = rhs`` off the boundary with ``f = 1`` on ``ones_set``
     and ``f = 0`` on ``zeros_set`` (conductance-Laplacian formulation).
 
-    One solver branch runs, chosen by the number ``m`` of free states: a
-    dense Cholesky factorization up to 1,000 unknowns, Jacobi-scaled
-    conjugate gradients above, capped at ``m`` iterations (the bound at
-    which CG terminates in exact arithmetic).  Either is followed by at
-    most three rounds of iterative refinement on extended-precision
-    residuals, which stop once the componentwise backward error is below
+    Only the reduced system is built: the Laplacian on the free states in
+    CSR with int32 indices (``WeightedChain._laplacian_on``), and a
+    right-hand side summed over the edges into ``ones_set`` alone (every
+    other edge adds +0.0).  One solver branch runs, chosen by the number
+    ``m`` of free states: a dense Cholesky factorization up to 1,000
+    unknowns, Jacobi-scaled conjugate gradients above, capped at ``m``
+    iterations (the bound at which CG terminates in exact arithmetic).
+    Either is followed by at most three rounds of iterative refinement on
+    extended-precision residuals, computed ``_BLOCK_ROWS`` rows at a
+    time, which stop once the componentwise backward error is below
     2^-53; CG solves each correction to a relative residual of 1e-8.
 
     Raises ``RuntimeError`` when a free state has zero total conductance
@@ -186,8 +254,14 @@ def _solve_dirichlet_problem(
     if n_isolated:
         raise RuntimeError(f"{n_isolated} of {m} free states have zero total conductance "
                            "(underflowed); the Dirichlet problem is singular")
-    # the f = 1 boundary enters through the conductances into ones_set
-    b = chain._onto_ends(chain.cond * f[chain.dst], chain.cond * f[chain.src])[free]
+    # the f = 1 boundary enters through the conductances into ones_set, in
+    # the edge order of WeightedChain._onto_ends
+    b = np.zeros(chain.n)
+    into = f[chain.dst] == 1.0
+    np.add.at(b, chain.src[into], chain.cond[into])
+    into = f[chain.src] == 1.0
+    np.add.at(b, chain.dst[into], chain.cond[into])
+    b = b[free]
     if rhs_extra is not None:
         b = b + rhs_extra[free]
 
@@ -203,11 +277,14 @@ def _solve_dirichlet_problem(
         solve = lambda rhs, rtol: cho_solve(factor, rhs, check_finite=False)  # noqa: E731
     else:
         # the Jacobi-scaled system has the clustered Metropolis spectrum, so
-        # conjugate gradients converge fast and accurately; A is symmetric,
-        # so its CSC arrays, scaled entry by entry, are the CSR arrays of
-        # D^-1/2 A D^-1/2
+        # conjugate gradients converge fast and accurately; D^-1/2 A D^-1/2
+        # shares the structure of A
         dh = 1.0 / np.sqrt(diag)
-        scaled = A.data * dh[A.indices] * np.repeat(dh, np.diff(A.indptr))
+        scaled = np.empty_like(A.data)
+        for rows, entries, ptr in _row_blocks(A):
+            block = A.data[entries] * dh[A.indices[entries]]
+            block *= np.repeat(dh[rows], np.diff(ptr))
+            scaled[entries] = block
         As = sp.csr_matrix((scaled, A.indices, A.indptr), shape=A.shape)
 
         def solve(rhs, rtol):
@@ -220,22 +297,39 @@ def _solve_dirichlet_problem(
     x = solve(b, 1e-15)
     # iterative refinement with extended-precision residuals; a correction
     # needs only modest relative accuracy: 1e-8 keeps the componentwise
-    # backward error below 2e-16, where 1e-6 and 1e-4 do not.  It stops
-    # once the residual meets the componentwise (Oettli-Prager) bound
-    # |r| <= 2^-53 (|A||x| + |b|); off the diagonal A is nonpositive, so
-    # |A||x| = 2 diag |x| - A|x|
-    A_ld = A.astype(np.longdouble)
-    b_ld = b.astype(np.longdouble)
-    two_diag, abs_b = 2 * diag.astype(np.longdouble), np.abs(b_ld)
+    # backward error below 2e-16, where 1e-6 and 1e-4 do not
     for _ in range(3):
-        x_ld = x.astype(np.longdouble)
-        r = b_ld - A_ld @ x_ld
-        abs_x = np.abs(x_ld)
-        if np.all(np.abs(r) <= 2.0 ** -53 * (two_diag * abs_x - A_ld @ abs_x + abs_b)):
+        r, converged = _extended_residual(A, x, b, diag)
+        if converged:
             break
-        x = x + solve(np.asarray(r, dtype=np.float64), 1e-8)
+        x = x + solve(r, 1e-8)
     f[free] = x
     return f
+
+
+def _extended_residual(A: sp.csr_matrix, x: np.ndarray, b: np.ndarray,
+                       diag: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``b - A x`` evaluated in ``np.longdouble`` and rounded to float64,
+    and whether it meets the componentwise (Oettli-Prager) bound
+    ``|r| <= 2^-53 (|A||x| + |b|)``; off the diagonal A is nonpositive, so
+    ``|A||x| = 2 diag |x| - A|x|``.  One block of rows at a time is copied
+    to extended precision; each row sums its entries in column order, as
+    a product with the whole matrix would."""
+    m = len(x)
+    x_ld = x.astype(np.longdouble)
+    abs_x = np.abs(x_ld)
+    r = np.empty(m)
+    converged = True
+    for rows, entries, ptr in _row_blocks(A):
+        block = sp.csr_matrix((A.data[entries].astype(np.longdouble), A.indices[entries], ptr),
+                              shape=(len(ptr) - 1, m))
+        b_ld = b[rows].astype(np.longdouble)
+        r_ld = b_ld - block @ x_ld
+        r[rows] = r_ld
+        if converged:
+            bound = 2 * diag[rows].astype(np.longdouble) * abs_x[rows] - block @ abs_x
+            converged = bool(np.all(np.abs(r_ld) <= 2.0 ** -53 * (bound + np.abs(b_ld))))
+    return r, converged
 
 
 def equilibrium_potential(space_or_chain, P, Q, beta: float | None = None) -> np.ndarray:
@@ -674,30 +768,59 @@ def _translation_orbits(space: StateSpace) -> tuple[np.ndarray, int]:
     return labels, int(np.count_nonzero(is_rep))
 
 
-def _orbit_chain(space: StateSpace, beta: float, labels: np.ndarray, m: int) -> WeightedChain:
-    """``chain_from_space(space, beta).lumped(labels, m)``, built from one
-    representative state per class without the full chain.
+def _orbit_graph(space: StateSpace, labels: np.ndarray,
+                 m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quotient of the single-flip graph by the classes of ``labels``:
+    each class's size, its energy and the ``(m, n_moves)`` int32 class
+    reached by each single-flip move of one representative state.
 
-    The classes must be orbits of a group of lattice symmetries, so that
-    every member of a class ``I`` has the same energy and the same
-    conductances into each class ``J``.  Then ``mu_I = |I| w(rep_I) / Z``
-    with ``Z = sum_I |I| w(rep_I)``, and the conductance between classes
-    ``I < J`` is ``|I| sum_{y in J, y ~ rep_I} exp(-beta max(E_rep, E_y)) / Z``:
-    the representative's single-flip moves, counted once per member of
-    ``I``."""
-    size = np.bincount(labels, minlength=m)
+    The classes must be orbits of a group of lattice symmetries.  Then
+    every member of a class has the same energy and the same moves into
+    each class, so one representative's moves stand for all of them."""
     rep = np.empty(m, dtype=np.int32)
     rep[labels] = np.arange(space.n_states, dtype=np.int32)  # any member will do
-    E = space.energies.astype(np.float64)
-    w = size * np.exp(-beta * E[rep])  # ground energy is 0, so no overflow
+    return (np.bincount(labels, minlength=m), space.energies[rep],
+            labels[space.moves_from(rep)])
+
+
+def _orbit_chain(size: np.ndarray, energies: np.ndarray, moves: np.ndarray,
+                 beta: float) -> WeightedChain:
+    """``chain_from_space(space, beta).lumped(labels, m)``, built from the
+    :func:`_orbit_graph` of ``space`` without the full chain.
+
+    ``mu_I = |I| w_I / Z`` with ``Z = sum_I |I| w_I``, and the conductance
+    between classes ``I < J`` is ``|I| sum_{y ~ rep_I, y in J}
+    exp(-beta max(E_I, E_J)) / Z``: the representative's single-flip
+    moves, counted once per member of ``I``.  Class pairs are summed by
+    scipy from int32 indices."""
+    m = len(size)
+    E = energies.astype(np.float64)
+    w = size * np.exp(-beta * E)  # ground energy is 0, so no overflow
     Z = w.sum()
-    moves = space.moves_from(rep)
     # each class pair once, from its lower class
-    frm, j = np.nonzero(labels[moves] > np.arange(m)[:, None])
-    y = moves[frm, j]
-    cond = size[frm] * np.exp(-beta * np.maximum(E[rep[frm]], E[y])) / Z
-    c = sp.csr_matrix((cond, (frm, labels[y])), shape=(m, m)).tocoo()  # summed per pair
+    up = moves > np.arange(m, dtype=np.int32)[:, None]
+    frm = np.repeat(np.arange(m, dtype=np.int32), np.count_nonzero(up, axis=1))
+    to = moves[up]
+    del up
+    cond = size[frm] * np.exp(-beta * np.maximum(E[frm], E[to])) / Z
+    c = sp.csr_matrix((cond, (frm, to)), shape=(m, m)).tocoo()  # summed per pair
     return WeightedChain(n=m, src=c.row, dst=c.col, cond=c.data, mu=w / Z)
+
+
+def _orbit_barrier(energies: np.ndarray, moves: np.ndarray, s: int, t: int) -> int:
+    """The communication height between classes ``s`` and ``t`` of an
+    :func:`_orbit_graph`, by the level-ordered flood of
+    :func:`~spinscape.landscape.comm_height`.
+
+    For translation orbits and monochrome ``s`` and ``t`` it is the floor's
+    communication height between them: both are fixed points of every
+    translation, energies are constant on orbits, and if orbits ``I`` and
+    ``J`` are adjacent then every member of ``I`` has a neighbour in ``J``
+    (translations preserve adjacency), so every path of orbits lifts to a
+    path of states with the same energies, and every path of states maps
+    to one of orbits."""
+    heights = _minimax_heights(energies, moves, _energy_levels(energies), [s], stop=[t])
+    return int(heights[t])
 
 
 #: The large stable beta at which :func:`constants` solves the 2D stand-in.
@@ -712,24 +835,26 @@ def kappa2d_stand_in(spec2d, beta_star: float = _BETA_STAR) -> tuple[float, int]
     companion-theory constant that has no closed form here; provenance is
     recorded by the caller.
 
-    The hitting time is solved on translation orbits (44,368 classes for
-    the 3^12 states of a 3x4 periodic floor at q=3).  This is exact: the
-    Metropolis chain is translation-invariant and both monochrome end
-    states are fixed by every translation, so the equilibrium potential
-    is constant on orbits, and the lumped chain (summed conductances and
-    masses) has the same capacity and ``sum mu h``.  The orbit chain is
-    built from one representative state per orbit (``_orbit_chain``), so
-    the full floor chain is never assembled.  The barrier is swept after
-    the solve, once the orbit chain is released, so the floor's move table
-    (which the sweep builds and keeps) never coexists with it.
+    Both numbers come from the floor's translation orbits (44,368 for the
+    3^12 states of a 3x4 periodic floor at q=3): the representatives'
+    single-flip moves, mapped to orbits once (``_orbit_graph``), give the
+    lumped chain and the quotient graph the 2D barrier is swept on, so
+    neither the floor chain nor the floor's move table is ever built.
+    Both are exact.  The Metropolis chain is translation-invariant and
+    both monochrome end states are fixed by every translation, so the
+    equilibrium potential is constant on orbits, and the lumped chain
+    (summed conductances and masses) has the same capacity and
+    ``sum mu h``; the barrier is exact by ``_orbit_barrier``'s argument.
     """
     space2d = enumerate_space(spec2d)
     g = space2d.ground_states()
     labels, m = _translation_orbits(space2d)
-    E = mean_hitting_exact(_orbit_chain(space2d, beta_star, labels, m),
-                           labels[g[1]], [labels[g[2]]])
-    gamma2d = comm_height(space2d, g[1], g[2])
-    return float(math.exp(-gamma2d * beta_star) * E), int(gamma2d)
+    s, t = int(labels[g[1]]), int(labels[g[2]])
+    size, energies, moves = _orbit_graph(space2d, labels, m)
+    del space2d, labels  # the solve needs only the orbit graph
+    E = mean_hitting_exact(_orbit_chain(size, energies, moves, beta_star), s, [t])
+    gamma2d = _orbit_barrier(energies, moves, s, t)
+    return float(math.exp(-gamma2d * beta_star) * E), gamma2d
 
 
 def _bulk_denominator(K: int, L: int, M: int) -> int:
@@ -862,15 +987,14 @@ def test_function(
         h[s] = (eB / c) * (1.0 - hv)
 
     # 2D floor profile: exact equilibrium potential on the floor lattice
-    spec2d = spec.floor_spec()
+    space2d = enumerate_space(spec.floor_spec())
+    g2d = space2d.ground_states()
     h2d_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def h2d(a: int, b: int, floor_code: int) -> float:
         key = (a, b)
         if key not in h2d_cache:
-            sp2 = enumerate_space(spec2d)
-            g = sp2.ground_states()
-            h2d_cache[key] = equilibrium_potential(sp2, [g[a]], [g[b]], beta)
+            h2d_cache[key] = equilibrium_potential(space2d, [g2d[a]], [g2d[b]], beta)
         return float(h2d_cache[key][floor_code])
 
     # gateway slices

@@ -166,6 +166,52 @@ def _dense_oracle(A, b):
     return x + sla.cho_solve(factor, np.asarray(r, dtype=np.float64))
 
 
+class TestReducedSystem:
+    """The solver builds only the reduced system, in CSR with int32 indices."""
+
+    def test_laplacian_matches_the_edge_list(self, space_223_open):
+        chain = pt.chain_from_space(space_223_open, 3.0)
+        g = space_223_open.ground_states()
+        free = np.ones(chain.n, dtype=bool)
+        free[[g[1], g[2]]] = False
+        A = chain._laplacian_on(free)
+        want, _, _ = _reduced_system(chain, [g[1]], [g[2]])
+        assert A.format == "csr" and A.indices.dtype == np.int32
+        assert A.has_canonical_format
+        want.sum_duplicates()
+        assert np.array_equal(A.indptr, want.indptr)
+        assert np.array_equal(A.indices, want.indices)
+        assert A.data.tobytes() == want.data.tobytes()
+
+    def test_laplacian_independent_of_edge_order(self, space_2d_33):
+        # edges reversed and shuffled: the flipped ends and the regrouping
+        # by lower end give the same matrix as the edges in space order
+        chain = pt.chain_from_space(space_2d_33, 2.0)
+        order = np.random.default_rng(3).permutation(len(chain.src))
+        shuffled = pt.WeightedChain(chain.n, chain.dst[order], chain.src[order],
+                                    chain.cond[order], chain.mu)
+        keep = np.ones(chain.n, dtype=bool)
+        keep[::7] = False
+        A, B = chain._laplacian_on(keep), shuffled._laplacian_on(keep)
+        assert np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+        assert np.allclose(A.data, B.data, rtol=1e-15, atol=0)
+
+    def test_capacity_solve_traced_peak_per_unknown(self, space_224_open):
+        # the matrix, its Jacobi-scaled copy and one block of the
+        # extended-precision residual: about 455 B per unknown, against 985 B
+        # with a COO assembly, a full right-hand-side transient and a
+        # longdouble copy of the matrix
+        chain = pt.chain_from_space(space_224_open, 3.0)
+        g = space_224_open.ground_states()
+        tracemalloc.start()
+        try:
+            pt.capacity(chain, [g[1]], [g[2]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 600 * (chain.n - 2)
+
+
 class TestConjugateGradientBranch:
     """Systems above 1,000 unknowns are solved by conjugate gradients."""
 
@@ -224,7 +270,8 @@ class TestRefinementStop:
         g = space.ground_states()
         if isinstance(spec, Lattice2D):
             labels, m = pt._translation_orbits(space)
-            chain, s, t = pt._orbit_chain(space, beta, labels, m), labels[g[1]], labels[g[2]]
+            chain = pt._orbit_chain(*pt._orbit_graph(space, labels, m), beta)
+            s, t = labels[g[1]], labels[g[2]]
         else:
             chain, s, t = pt.chain_from_space(space, beta), g[1], g[2]
         for ones, zeros, extra in (([s], [t], None), ([], [t], chain.mu)):
@@ -379,7 +426,7 @@ class TestTranslationLumping:
     def test_orbit_chain_is_the_lumped_chain(self, K, L, q, beta):
         space = enumerate_space(Lattice2D(K, L, q, "periodic"))
         labels, m = pt._translation_orbits(space)
-        got = pt._orbit_chain(space, beta, labels, m)
+        got = pt._orbit_chain(*pt._orbit_graph(space, labels, m), beta)
         want = pt.chain_from_space(space, beta).lumped(labels, m)
         G, W = (sp.csr_matrix((c.cond, (c.src, c.dst)), shape=(m, m)) for c in (got, want))
         G.sum_duplicates()
@@ -391,7 +438,7 @@ class TestTranslationLumping:
     def test_orbit_chain_on_open_floor_is_the_full_chain(self):
         space = enumerate_space(Lattice2D(3, 3, 2, "open"))
         labels, m = pt._translation_orbits(space)
-        got = pt._orbit_chain(space, 3.0, labels, m)
+        got = pt._orbit_chain(*pt._orbit_graph(space, labels, m), 3.0)
         want = pt.chain_from_space(space, 3.0)
         order = np.lexsort((want.dst, want.src))
         assert got.n == want.n
@@ -408,10 +455,19 @@ class TestConstants:
         assert gamma2d == 8
         assert k2d > 0
 
+    @pytest.mark.parametrize("K, L, q", [(3, 3, 2), (3, 3, 3), (3, 4, 2)])
+    def test_orbit_barrier_is_the_floor_barrier(self, K, L, q):
+        space = enumerate_space(Lattice2D(K, L, q, "periodic"))
+        g = space.ground_states()
+        labels, m = pt._translation_orbits(space)
+        energies, moves = pt._orbit_graph(space, labels, m)[1:]
+        got = pt._orbit_barrier(energies, moves, labels[g[1]], labels[g[2]])
+        assert got == comm_height(space, g[1], g[2])
+
     def test_kappa2d_traced_peak_per_floor_state(self):
-        # with the orbit chain built from one state per orbit and the 2D
-        # barrier swept after the solve, the whole call reads about 156 B
-        # per floor state; lumping the full floor chain took 624 B
+        # with the chain and the 2D barrier both taken from the orbit graph,
+        # the whole call reads about 78 B per floor state; lumping the full
+        # floor chain took 624 B
         tracemalloc.start()
         try:
             pt.kappa2d_stand_in(Lattice2D(3, 4, 3, "periodic"))
@@ -421,9 +477,9 @@ class TestConstants:
         assert peak <= 400 * 3 ** 12
 
     def test_kappa2d_move_table_and_orbit_chain_apart(self):
-        # the barrier sweep's move table (96 B per state) is built only
-        # after the orbit chain is released: about 156 B per floor state,
-        # against 260 B when the two coexisted
+        # the 2D barrier is swept on the orbit graph, so the floor's move
+        # table (96 B per state) is never built: about 78 B per floor state,
+        # against 260 B when that table and the orbit chain coexisted
         tracemalloc.start()
         try:
             pt.kappa2d_stand_in(Lattice2D(3, 4, 3, "periodic"))
@@ -431,6 +487,19 @@ class TestConstants:
         finally:
             tracemalloc.stop()
         assert peak <= 200 * 3 ** 12
+
+    def test_kappa2d_value_and_peak_without_floor_move_table(self):
+        # enumeration, orbit labels and the 44,366-unknown solve: about 78 B
+        # per floor state, against 156 B when the barrier sweep built the
+        # floor's move table
+        tracemalloc.start()
+        try:
+            got = pt.kappa2d_stand_in(Lattice2D(3, 4, 3, "periodic"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (0.13495954945691074, 8)
+        assert peak <= 120 * 3 ** 12
 
     def test_bundle_structure(self):
         spec = LatticeSpec(3, 4, 8, 3, "periodic")
