@@ -1,9 +1,12 @@
-"""Prefactor constants, auxiliary chains, flows, and the test function.
+"""Prefactor constants, auxiliary chains, harmonic currents, and the test function.
 
 Run:  python3 demos/constants_pipeline.py
 """
 
+import numpy as np
+
 from spinscape import potential as pt
+from spinscape.canon import canonical_path
 from spinscape.landscape import enumerate_space, typical_sets
 from spinscape.lattice import LatticeSpec
 
@@ -35,30 +38,34 @@ def main() -> None:
     except ValueError as exc:
         print(f"  aux capacity refused: {exc}")
 
-    print("\n== flow battery on a synthetic nondegenerate chain ==")
-    rep = pt.flow_check_battery(5, 6, 7)
-    for key in (
-        "n_vertices",
-        "flux_balance_exact",
-        "unit_flow",
-        "norm_bound_holds",
-        "thomson_bound_holds",
-    ):
-        if key in rep:
-            print(f"  {key}: {rep[key]}")
-    print(f"  ||psi||^2 = {rep['flow_norm_sq']:.6e}"
-          f" (closed form {rep['flow_norm_closed_form']:.6e})")
+    print("\n== harmonic unit current from g1 to g2 at beta = 3 ==")
+    beta = 3.0
+    g = space.ground_states()
+    chain = pt.chain_from_space(space, beta)
+    h = pt.equilibrium_potential(chain, [g[1]], [g[2]])
+    cap = pt.dirichlet(chain, h)
+    J = pt.unit_current(chain, h)
+    net = chain._onto_ends(J, -J)
+    interior = np.ones(space.n_states, dtype=bool)
+    interior[[g[1], g[2]]] = False
+    print(f"  net outflow from g1 - 1: {net[g[1]] - 1:.2e}")
+    print(f"  largest |divergence| off g1, g2: {np.abs(net[interior]).max():.2e}")
+    # the canonical path is a unit flow of energy sum 1/c_e, and a
+    # Metropolis conductance is the smaller of the two Gibbs masses
+    path = [space.index_of(c) for c in canonical_path(space.spec, 1, 2).configs()]
+    c_path = np.minimum(chain.mu[path[:-1]], chain.mu[path[1:]])
+    r_path = float(np.sum(1.0 / c_path))
+    print(f"  Thomson: 1/R_path = {1 / r_path:.6e} <= cap = {cap:.6e}: {1 / r_path <= cap}")
 
     print("\n== explicit test function and its defect diagnostics ==")
-    beta = 3.0
     ts_BA = typical_sets(space, A=(2,), B=(1,), gamma=ts.gamma)
     bundle224 = pt.constants(space.spec)
     h, info = pt.test_function(space, ts, ts_BA, bundle224, beta=beta)
-    g = space.ground_states()
     diag = pt.h1_diagnostics(space, h, beta, [g[1]], [g[2]])
     print(f"  D(h~) = {diag['dirichlet_h_tilde']:.6e} >= cap = {diag['capacity']:.6e}:"
           f" {diag['dirichlet_principle_holds']}")
     print(f"  defect identity relative error: {diag['defect_rel_err']:.2e}")
+    print(f"  current outflow from g1: {diag['current_outflow']:.12f}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ canon
 landscape
     Brute-force state-space enumeration, communication heights, typical sets.
 potential
-    Exact potential theory: capacities, hitting times, flows, test functions.
+    Exact potential theory: capacities, hitting times, harmonic currents,
+    test functions.
 cli
     Batch command-line front end.
 """

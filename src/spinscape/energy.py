@@ -2,12 +2,10 @@
 
 The Hamiltonian counts disagreeing nearest-neighbour bonds,
 
-    ``H(sigma) = sum over bonds 1{sigma(x) != sigma(y)} - h * |sigma|_1``
+    ``H(sigma) = sum over bonds 1{sigma(x) != sigma(y)}``
 
-where ``|sigma|_1`` is the number of sites carrying spin 1 and the external
-field ``h`` defaults to 0 (the case all landscape machinery assumes).  With
-``h = 0`` every energy is a nonnegative integer and the minimum value 0 is
-attained exactly on the monochromatic configurations.
+with no external field, so every energy is a nonnegative integer and the
+minimum value 0 is attained exactly on the monochromatic configurations.
 """
 
 from __future__ import annotations
@@ -38,23 +36,17 @@ __all__ = [
 # Hamiltonians
 # ---------------------------------------------------------------------------
 
-def energy(sigma: SpinConfig, h: float = 0.0):
-    """Bond-disagreement energy of a configuration on any supported spec.
-
-    Returns an ``int`` when ``h == 0`` and a ``float`` otherwise.
-    """
+def energy(sigma: SpinConfig) -> int:
+    """Bond-disagreement energy of a configuration on any supported spec."""
     bonds = sigma.spec.bonds
     s = sigma.spins
-    val = int(np.count_nonzero(s[bonds[:, 0]] != s[bonds[:, 1]])) if len(bonds) else 0
-    if h == 0.0:
-        return val
-    return val - h * int(np.count_nonzero(s == 1))
+    return int(np.count_nonzero(s[bonds[:, 0]] != s[bonds[:, 1]])) if len(bonds) else 0
 
 
-def energy2d(eta: SpinConfig, h: float = 0.0):
+def energy2d(eta: SpinConfig) -> int:
     if not isinstance(eta.spec, Lattice2D):
         raise TypeError("energy2d expects a 2D configuration")
-    return energy(eta, h)
+    return energy(eta)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +75,7 @@ def decompose(sigma: SpinConfig) -> tuple[list[int], list[int]]:
 # Flip deltas
 # ---------------------------------------------------------------------------
 
-def flip_delta(sigma: SpinConfig, x, a: int, h: float = 0.0):
+def flip_delta(sigma: SpinConfig, x, a: int) -> int:
     """``energy(flip(sigma, x, a)) - energy(sigma)`` scanning only x's bonds.
 
     ``x`` may be a :class:`Site` (on 3D specs) or a linear site index.
@@ -98,10 +90,7 @@ def flip_delta(sigma: SpinConfig, x, a: int, h: float = 0.0):
     if a == old:
         return 0
     nb = sigma.spins[spec.neighbor_lists[i]]
-    delta = int(np.count_nonzero(nb != a)) - int(np.count_nonzero(nb != old))
-    if h == 0.0:
-        return delta
-    return delta - h * ((a == 1) - (old == 1))
+    return int(np.count_nonzero(nb != a)) - int(np.count_nonzero(nb != old))
 
 
 # ---------------------------------------------------------------------------

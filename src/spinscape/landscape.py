@@ -176,12 +176,12 @@ def enumerate_space(spec, limit: int = DEFAULT_STATE_LIMIT) -> StateSpace:
             f"state space has {n_states} states, over the limit {limit}; "
             f"pass limit>={n_states} to force"
         )
-    codes = np.arange(n_states, dtype=np.int64)
     digits = np.empty((n_states, n), dtype=np.uint8)
-    c = codes.copy()
+    c = np.arange(n_states, dtype=np.int32)  # the codes, peeled digit by digit
     for i in range(n):
         digits[:, i] = c % q
         c //= q
+    del c
     energies = np.zeros(n_states, dtype=np.int32)
     for i, j in spec.bonds:
         energies += digits[:, i] != digits[:, j]

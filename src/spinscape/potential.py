@@ -2,15 +2,15 @@
 
 Dirichlet forms, equilibrium potentials (sparse symmetric solves),
 capacities, mean hitting times (two independent routes), spectral gaps,
-the auxiliary uniform-measure chain on edge-typical classes with its
-capacity and unit flows, the prefactor constants pipeline, and the test
-function with its H1 diagnostics.
+harmonic unit currents, the auxiliary uniform-measure chain on
+edge-typical classes with its capacity, the prefactor constants pipeline,
+and the test function with its H1 diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,18 +29,13 @@ __all__ = [
     "dirichlet_generator",
     "equilibrium_potential",
     "capacity",
+    "unit_current",
     "mean_hitting_exact",
     "spectral_gap",
     "AuxChain",
     "build_aux_chain",
     "aux_capacity",
     "e_constant",
-    "Flow",
-    "flow_norm",
-    "divergence",
-    "unit_flow_check",
-    "synthetic_flow_chain",
-    "flow_check_battery",
     "ConstantsBundle",
     "kappa2d_stand_in",
     "constants",
@@ -347,6 +342,15 @@ def capacity(space_or_chain, P, Q, beta: float | None = None) -> float:
     return dirichlet(chain, h)
 
 
+def unit_current(chain: WeightedChain, h: np.ndarray) -> np.ndarray:
+    """``J_e = c_e (h(src) - h(dst)) / D(h)`` on the chain's edges, positive
+    from ``src`` to ``dst``.  For the equilibrium potential of ``(P, Q)``
+    this is the harmonic unit current: a unit flow from ``P`` to ``Q``,
+    conserved off ``P | Q``, of least energy among such flows (Thomson).
+    Its net outflow at each state is ``chain._onto_ends(J, -J)``."""
+    return chain.cond * (h[chain.src] - h[chain.dst]) / dirichlet(chain, h)
+
+
 def mean_hitting_exact(
     space_or_chain, s: int, target, beta: float | None = None, method: str = "capacity"
 ) -> float:
@@ -444,8 +448,8 @@ class AuxChain:
 
     Vertices are at-ceiling states plus one representative per sub-ceiling
     class; integer rates follow the adjacency-count table.  ``vertex_state``
-    maps chain vertex -> underlying state index (or an opaque label for
-    synthetic chains); ``kind`` is "O" (at ceiling) or "I" (class rep).
+    maps chain vertex -> underlying state index; ``kind`` is "O" (at
+    ceiling) or "I" (class rep).
     """
 
     n: int
@@ -454,7 +458,6 @@ class AuxChain:
     rates: np.ndarray
     vertex_state: list
     kind: list
-    meta: dict = field(default_factory=dict)
 
     def as_chain(self) -> WeightedChain:
         mu = np.full(self.n, 1.0 / self.n)
@@ -506,20 +509,8 @@ def build_aux_chain(ts: TypicalSets) -> AuxChain:
     src = np.array([k[0] for k in edges], dtype=np.int64)
     dst = np.array([k[1] for k in edges], dtype=np.int64)
     rates = np.array(list(edges.values()), dtype=np.int64)
-    meta = {
-        "n_O": len(O_states),
-        "n_I": len(reps),
-        "warnings": list(ts.warnings),
-    }
-    return AuxChain(
-        n=len(vertex_state),
-        src=src,
-        dst=dst,
-        rates=rates,
-        vertex_state=vertex_state,
-        kind=kind,
-        meta=meta,
-    )
+    return AuxChain(n=len(vertex_state), src=src, dst=dst, rates=rates,
+                    vertex_state=vertex_state, kind=kind)
 
 
 def aux_ground_and_window_vertices(ts: TypicalSets, aux: AuxChain):
@@ -558,163 +549,6 @@ def aux_capacity(aux: AuxChain, sources, targets) -> float:
 def e_constant(aux: AuxChain, sources, targets) -> float:
     """``1 / (|V| * cap)`` for the auxiliary chain."""
     return 1.0 / (aux.n * aux_capacity(aux, sources, targets))
-
-
-# ---------------------------------------------------------------------------
-# Flows
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Flow:
-    """An antisymmetric edge function, stored on oriented edges."""
-
-    values: dict  # (x, y) -> value, with (x, y) ordered as stored
-
-    def get(self, x: int, y: int) -> float:
-        if (x, y) in self.values:
-            return self.values[(x, y)]
-        if (y, x) in self.values:
-            return -self.values[(y, x)]
-        return 0.0
-
-
-def flow_norm(aux: AuxChain, flow: Flow) -> float:
-    """``sum over edges of phi(e)^2 / (pi(x) r(x, y))`` with ``pi`` uniform."""
-    edge_rates = {}
-    for s, d, r in zip(aux.src, aux.dst, aux.rates):
-        edge_rates[(int(s), int(d))] = float(r)
-        edge_rates[(int(d), int(s))] = float(r)
-    total = 0.0
-    for (x, y), v in flow.values.items():
-        if (x, y) not in edge_rates:
-            raise ValueError(f"flow supported off the edge set at {(x, y)}")
-        total += v * v * aux.n / edge_rates[(x, y)]
-    return total
-
-
-def divergence(aux: AuxChain, flow: Flow) -> np.ndarray:
-    div = np.zeros(aux.n)
-    for (x, y), v in flow.values.items():
-        div[x] += v
-        div[y] -= v
-    return div
-
-
-def unit_flow_check(aux: AuxChain, flow: Flow, sources, targets, tol: float = 1e-12) -> bool:
-    """Divergence +1 in total on the sources, -1 on the targets, 0 elsewhere."""
-    div = divergence(aux, flow)
-    sources = set(int(s) for s in sources)
-    targets = set(int(t) for t in targets)
-    ok = abs(div[list(sources)].sum() - 1.0) <= tol
-    ok &= abs(div[list(targets)].sum() + 1.0) <= tol
-    rest = [i for i in range(aux.n) if i not in sources | targets]
-    ok &= bool(np.max(np.abs(div[rest]), initial=0.0) <= tol)
-    return bool(ok)
-
-
-def synthetic_flow_chain(K: int, L: int, M: int, i_low: int = 1):
-    """The abstract ladder graph underlying the window-flow construction.
-
-    Vertices: collapsed slab classes ``SP[P]`` for arcs with
-    ``i_low <= |P| <= m_K``, plus per-window ladder nodes (wide-band
-    plains, which are their own sub-ceiling classes, and at-ceiling
-    protuberance states).  All rates are 1 (synthetic stand-in).  The flow
-    puts ``1/(2KLM)`` on every ladder edge oriented toward the larger arc.
-    Returns ``(aux, flow, sources, targets)``.
-    """
-    from .canon import TorusArc, arcs_of_length
-
-    m_K = mk_mK(K)
-    if m_K <= i_low:
-        raise ValueError("window too small for a nondegenerate synthetic chain")
-    nodes: dict = {}
-
-    def node(key) -> int:
-        if key not in nodes:
-            nodes[key] = len(nodes)
-        return nodes[key]
-
-    edges: dict[tuple[int, int], float] = {}
-    flow_vals: dict[tuple[int, int], float] = {}
-    phi = 1.0 / (2 * K * L * M)
-
-    def add_edge(x: int, y: int, f: float) -> None:
-        edges[(min(x, y), max(x, y))] = 1.0
-        flow_vals[(x, y)] = flow_vals.get((x, y), 0.0) + f
-
-    for r in range(i_low, m_K):
-        for P in arcs_of_length(M, r):
-            for Q in P.extensions():
-                pk = ("SP", P.start, P.length)
-                qk = ("SP", Q.start, Q.length)
-                wid = ("W", P.start, P.length, Q.start, Q.length)
-                for l in range(1, L + 1):
-                    for v in range(1, L - 1):
-                        lo = node(pk) if v == 1 else node((wid, "plain", l, v))
-                        hi = node(qk) if v + 1 == L - 1 else node((wid, "plain", l, v + 1))
-                        for k in range(1, K + 1):
-                            prev = lo
-                            for h in range(1, K):
-                                cur = node((wid, "prot", l, v, k, h))
-                                add_edge(prev, cur, phi)
-                                prev = cur
-                            add_edge(prev, hi, phi)
-    n = len(nodes)
-    src = np.array([k[0] for k in edges], dtype=np.int64)
-    dst = np.array([k[1] for k in edges], dtype=np.int64)
-    rates = np.ones(len(edges), dtype=np.int64)
-    vertex_state = [None] * n
-    kind = [""] * n
-    for key, i in nodes.items():
-        vertex_state[i] = key
-        kind[i] = "I" if (key[0] == "SP" or key[1] == "plain") else "O"
-    aux = AuxChain(
-        n=n,
-        src=src,
-        dst=dst,
-        rates=rates,
-        vertex_state=vertex_state,
-        kind=kind,
-        meta={"synthetic": True, "K": K, "L": L, "M": M, "i_low": i_low, "m_K": m_K},
-    )
-    sources = [nodes[k] for k in nodes if k[0] == "SP" and k[2] == i_low]
-    targets = [nodes[k] for k in nodes if k[0] == "SP" and k[2] == m_K]
-    return aux, Flow(flow_vals), sources, targets
-
-
-def flow_check_battery(K: int, L: int, M: int, i_low: int = 1) -> dict:
-    """Run the full unit-flow verification battery on the synthetic chain.
-
-    Checks: uniform-measure flux balance, unit-flow divergence, the closed
-    form of the squared flow norm, the window bound
-    ``|psi|^2 < m_K |V| / (2M)``, and the variational (Thomson) lower
-    bound ``1/|psi|^2 <= cap``.
-    """
-    aux, flow, sources, targets = synthetic_flow_chain(K, L, M, i_low)
-    m_K = aux.meta["m_K"]
-    norm2 = flow_norm(aux, flow)
-    cap = aux_capacity(aux, sources, targets)
-    n_windows = (m_K - i_low) * 2 * M
-    closed_form = aux.n * n_windows * (K * K * L * (L - 2)) / (2 * K * L * M) ** 2
-    report = {
-        "chain": "synthetic",
-        "K": K,
-        "L": L,
-        "M": M,
-        "i_low": i_low,
-        "m_K": m_K,
-        "n_vertices": aux.n,
-        "flux_balance_exact": aux.flux_balance_exact(),
-        "unit_flow": unit_flow_check(aux, flow, sources, targets),
-        "flow_norm_sq": norm2,
-        "flow_norm_closed_form": closed_form,
-        "norm_bound": m_K * aux.n / (2 * M),
-        "norm_bound_holds": norm2 < m_K * aux.n / (2 * M),
-        "capacity": cap,
-        "thomson_bound_holds": 1.0 / norm2 <= cap * (1 + 1e-12),
-        "edge_flow_value": 1.0 / (2 * K * L * M),
-    }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1052,13 +886,19 @@ def h1_diagnostics(
     """Compare the test function against the exact equilibrium potential.
 
     Reports both Dirichlet forms, the capacity, the variational inequality
-    ``D(h_tilde) >= Cap``, and the defect identity
+    ``D(h_tilde) >= Cap``, the defect identity
     ``D(h - h_tilde) = D(h_tilde) - sum h (-L h_tilde) mu`` evaluated both
-    ways.
+    ways, and two conservation checks on the harmonic unit current of the
+    exact potential: its net outflow from ``P`` (1 in exact arithmetic)
+    and the largest ``|net outflow|`` at a state off ``P | Q`` (0).
     """
     chain = chain_from_space(space, beta)
     h = equilibrium_potential(chain, P, Q)
     cap = dirichlet(chain, h)
+    J = unit_current(chain, h)
+    net = chain._onto_ends(J, -J)
+    off = np.ones(chain.n, dtype=bool)
+    off[P] = off[Q] = False
     d_ht = dirichlet(chain, h_tilde)
     d_diff_direct = dirichlet(chain, h - h_tilde)
     neg_L_ht = -chain.generator_apply(h_tilde)
@@ -1072,4 +912,6 @@ def h1_diagnostics(
         "defect_identity": d_diff_identity,
         "defect_rel_err": abs(d_diff_direct - d_diff_identity)
         / max(abs(d_diff_direct), 1e-300),
+        "current_outflow": float(net[P].sum()),
+        "current_max_divergence": float(np.max(np.abs(net[off]), initial=0.0)),
     }

@@ -4,7 +4,8 @@ Each test pins one externally checkable guarantee of the toolkit: exact
 integer identities of the Hamiltonian algebra, explicit path energies,
 gateway energy dichotomy, brute-force barrier values, potential-theory
 identities of the reversible chain, asymptotic laws of the dynamics, and
-the structural checks on the auxiliary chains, flows, and test functions.
+the structural checks on the auxiliary chains, harmonic currents and test
+functions.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spinscape import dynamics as dy
 from spinscape import potential as pt
@@ -352,8 +354,9 @@ def test_exponential_law_trend(space_223_open):
 
 def test_aux_chain_and_flows(space_224_open):
     # the largest enumerable instance has a degenerate window: the literal
-    # construction is exercised with its warning, and the flow battery runs
-    # on the synthetic chain -- both facts recorded explicitly here.
+    # construction is exercised with its warning, and the unit-flow checks
+    # run on the harmonic current of the Metropolis chain itself -- both
+    # facts recorded explicitly here.
     report = {"instance": "2x2x4-open", "window": "degenerate"}
 
     ts = typical_sets(space_224_open, A=(1,), B=(2,))
@@ -368,22 +371,31 @@ def test_aux_chain_and_flows(space_224_open):
         pt.aux_capacity(aux, s_v, t_v)
     report["aux_capacity"] = "refused: degenerate window"
 
-    # flow battery on the synthetic chain (nondegenerate by construction)
-    for dims in ((5, 6, 7), (7, 8, 9)):
-        rep = pt.flow_check_battery(*dims)
-        assert rep["flux_balance_exact"]
-        assert rep["unit_flow"]
-        assert rep["norm_bound_holds"]  # ||psi||^2 < m_K |V| / (2M)
-        assert rep["thomson_bound_holds"]  # 1 / ||psi||^2 <= capacity
-        assert rep["flow_norm_sq"] == pytest.approx(
-            rep["flow_norm_closed_form"], rel=1e-9
-        )
-    report["flow_checks_on"] = "synthetic-chain"
+    # the harmonic unit current from g1 to g2 at beta=3
+    g = space_224_open.ground_states()
+    chain = pt.chain_from_space(space_224_open, 3.0)
+    h = pt.equilibrium_potential(chain, [g[1]], [g[2]])
+    J = pt.unit_current(chain, h)
+    net = chain._onto_ends(J, -J)
+    assert net[g[1]] == pytest.approx(1.0, abs=1e-9)
+    assert net[g[2]] == pytest.approx(-1.0, abs=1e-9)
+    interior = np.ones(chain.n, dtype=bool)
+    interior[[g[1], g[2]]] = False
+    assert np.max(np.abs(net[interior])) <= 1e-9
+    # Thomson: the canonical path is a unit flow from g1 to g2 of energy
+    # sum 1/c_e over its steps, each an edge of the chain
+    path = [space_224_open.index_of(c)
+            for c in canonical_path(space_224_open.spec, 1, 2).configs()]
+    C = sp.csr_matrix((chain.cond, (chain.src, chain.dst)), shape=(chain.n, chain.n))
+    c_path = np.asarray((C + C.T)[path[:-1], path[1:]]).ravel()
+    assert (c_path > 0).all()
+    assert 1.0 / np.sum(1.0 / c_path) <= pt.dirichlet(chain, h)
+    report["flow_checks_on"] = "2x2x4-open-harmonic-current-beta3"
     assert report == {
         "instance": "2x2x4-open",
         "window": "degenerate",
         "aux_capacity": "refused: degenerate window",
-        "flow_checks_on": "synthetic-chain",
+        "flow_checks_on": "2x2x4-open-harmonic-current-beta3",
     }
 
 

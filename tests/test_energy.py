@@ -52,12 +52,6 @@ class TestHamiltonian:
         nonzero = space.energies[space.energies > 0]
         assert nonzero.min() >= 3
 
-    def test_field_term(self):
-        spec = LatticeSpec(3, 3, 3, 2, "periodic")
-        c = monochrome(spec, 1)
-        assert energy(c, h=0.5) == -0.5 * spec.n_sites
-        assert energy(monochrome(spec, 2), h=0.5) == 0.0
-
 
 class TestDecomposition:
     @pytest.mark.parametrize("spec", SPECS, ids=str)

@@ -1,5 +1,7 @@
 """Enumeration, communication heights, neighborhoods, typical sets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,18 @@ class TestEnumeration:
         spec = LatticeSpec(2, 2, 8, 2, "open")  # 2^32 states
         with pytest.raises(ValueError, match="int32"):
             enumerate_space(spec, limit=2**40)
+
+    def test_traced_peak_per_state(self):
+        # the digits are peeled from one int32 code array: 12 B of spins,
+        # 4 B of codes and 4 B of remainders per state on the 3^12 floor,
+        # against 36 B with an int64 code array and its copy
+        tracemalloc.start()
+        try:
+            space = enumerate_space(Lattice2D(3, 4, 3, "periodic"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * space.n_states
 
     def test_energies_match_direct(self, space_223_open):
         space = space_223_open

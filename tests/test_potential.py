@@ -1,4 +1,4 @@
-"""Potential theory: Dirichlet forms, capacities, gaps, aux chains, flows."""
+"""Potential theory: Dirichlet forms, capacities, gaps, aux chains, harmonic currents."""
 
 import math
 import tracemalloc
@@ -9,6 +9,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from spinscape import potential as pt
+from spinscape.canon import canonical_path
 from spinscape.landscape import comm_height, enumerate_space, typical_sets
 from spinscape.lattice import Lattice2D, LatticeSpec
 
@@ -335,38 +336,61 @@ class TestAuxChain:
             pt.aux_capacity(aux, s_v, t_v)
 
 
+def _harmonic_current(space, beta):
+    """The harmonic unit current from g1 to the other ground states: its
+    net outflow at every state, the capacity, and the conductances of the
+    canonical path from g1 to g2 (0 on a step that is no edge of the
+    chain)."""
+    g = space.ground_states()
+    P, Q = [g[1]], [g[a] for a in g if a != 1]
+    chain = pt.chain_from_space(space, beta)
+    h = pt.equilibrium_potential(chain, P, Q)
+    J = pt.unit_current(chain, h)
+    interior = np.ones(chain.n, dtype=bool)
+    interior[P] = interior[Q] = False
+    path = [space.index_of(c) for c in canonical_path(space.spec, 1, 2).configs()]
+    C = sp.csr_matrix((chain.cond, (chain.src, chain.dst)), shape=(chain.n, chain.n))
+    return {
+        "P": P, "Q": Q, "interior": interior,
+        "net": chain._onto_ends(J, -J),
+        "cap": pt.dirichlet(chain, h),
+        "c_path": np.asarray((C + C.T)[path[:-1], path[1:]]).ravel(),
+    }
+
+
+@pytest.fixture(scope="module", params=[
+    ((2, 2, 4, 2), 3.0), ((2, 2, 3, 2), 2.0), ((2, 2, 3, 2), 3.0),
+    ((2, 2, 2, 3), 3.0), ((2, 2, 2, 3), 4.0),
+], ids=["224-beta3", "223-beta2", "223-beta3", "222q3-beta3", "222q3-beta4"])
+def current(request):
+    dims, beta = request.param
+    return _harmonic_current(enumerate_space(LatticeSpec(*dims, "open")), beta)
+
+
 class TestFlows:
-    def test_synthetic_chain_full_battery(self):
-        rep = pt.flow_check_battery(5, 6, 7)
-        assert rep["flux_balance_exact"]
-        assert rep["unit_flow"]
-        assert rep["norm_bound_holds"]
-        assert rep["thomson_bound_holds"]
-        assert rep["flow_norm_sq"] == pytest.approx(
-            rep["flow_norm_closed_form"], rel=1e-9
-        )
+    """Unit-flow checks on the harmonic current of real Metropolis chains."""
 
-    def test_flow_norm_closed_form(self):
-        aux, flow, sources, targets = pt.synthetic_flow_chain(5, 6, 7)
-        K, L, M = 5, 6, 7
-        n_windows = (2 - 1) * 2 * M
-        expected = aux.n * n_windows * (K * K * L * (L - 2)) / (2 * K * L * M) ** 2
-        assert pt.flow_norm(aux, flow) == pytest.approx(expected, rel=1e-9)
+    def test_unit_current_conserved(self, current):
+        net = current["net"]
+        assert abs(net[current["P"]].sum() - 1.0) <= 1e-9
+        assert abs(net[current["Q"]].sum() + 1.0) <= 1e-9
+        assert np.max(np.abs(net[current["interior"]])) <= 1e-9
 
-    def test_divergence_support(self):
-        aux, flow, sources, targets = pt.synthetic_flow_chain(5, 6, 7)
-        div = pt.divergence(aux, flow)
-        interior = np.ones(aux.n, bool)
-        interior[sources] = False
-        interior[targets] = False
-        assert np.max(np.abs(div[interior])) < 1e-12
-        assert div[sources].sum() == pytest.approx(1.0, abs=1e-12)
+    def test_thomson_path_bound(self, current):
+        # the canonical path carries a unit flow from g1 to g2 whose energy
+        # is its resistance sum 1/c_e, so Thomson's principle gives
+        # 1/R_path <= Cap
+        c_path = current["c_path"]
+        assert (c_path > 0).all()
+        assert 1.0 / np.sum(1.0 / c_path) <= current["cap"]
 
-    def test_flow_off_edges_rejected(self):
-        aux, flow, *_ = pt.synthetic_flow_chain(5, 6, 7)
-        bad = pt.Flow({(0, aux.n - 1): 1.0})
-        with pytest.raises(ValueError):
-            pt.flow_norm(aux, bad)
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 3: near P the componentwise stopping test accepts "
+        "residuals that are large at the capacity scale; the net outflow "
+        "from g1 is 1 + 3.7e-3 at beta=10"))
+    def test_unit_current_conserved_at_beta10(self, space_224_open):
+        run = _harmonic_current(space_224_open, 10.0)
+        assert abs(run["net"][run["P"]].sum() - 1.0) <= 1e-6
 
 
 class TestTranslationLumping:
@@ -464,30 +488,6 @@ class TestConstants:
         got = pt._orbit_barrier(energies, moves, labels[g[1]], labels[g[2]])
         assert got == comm_height(space, g[1], g[2])
 
-    def test_kappa2d_traced_peak_per_floor_state(self):
-        # with the chain and the 2D barrier both taken from the orbit graph,
-        # the whole call reads about 78 B per floor state; lumping the full
-        # floor chain took 624 B
-        tracemalloc.start()
-        try:
-            pt.kappa2d_stand_in(Lattice2D(3, 4, 3, "periodic"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 400 * 3 ** 12
-
-    def test_kappa2d_move_table_and_orbit_chain_apart(self):
-        # the 2D barrier is swept on the orbit graph, so the floor's move
-        # table (96 B per state) is never built: about 78 B per floor state,
-        # against 260 B when that table and the orbit chain coexisted
-        tracemalloc.start()
-        try:
-            pt.kappa2d_stand_in(Lattice2D(3, 4, 3, "periodic"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 200 * 3 ** 12
-
     def test_kappa2d_value_and_peak_without_floor_move_table(self):
         # enumeration, orbit labels and the 44,366-unknown solve: about 78 B
         # per floor state, against 156 B when the barrier sweep built the
@@ -550,6 +550,17 @@ class TestTestFunction:
         diag = pt.h1_diagnostics(space_224_open, h, 3.0, [g[1]], [g[2]])
         assert diag["dirichlet_principle_holds"]
         assert diag["defect_rel_err"] < 1e-8
+
+    def test_h1_diagnostics_report_the_current(self, space_223_open):
+        # the conservation checks read the exact potential's current,
+        # whatever the test function
+        g = space_223_open.ground_states()
+        h_tilde = np.zeros(space_223_open.n_states)
+        h_tilde[g[1]] = 1.0
+        diag = pt.h1_diagnostics(space_223_open, h_tilde, 2.0, [g[1]], [g[2]])
+        assert diag["dirichlet_principle_holds"]
+        assert abs(diag["current_outflow"] - 1.0) <= 1e-9
+        assert 0.0 <= diag["current_max_divergence"] <= 1e-9
 
     def test_seam_constancy_modulo_pins(self, built, space_224_open):
         ts, bundle, h, info = built
