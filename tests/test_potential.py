@@ -488,6 +488,30 @@ class TestConstants:
         got = pt._orbit_barrier(energies, moves, labels[g[1]], labels[g[2]])
         assert got == comm_height(space, g[1], g[2])
 
+    def test_kappa2d_traced_peak_per_floor_state(self):
+        # with the chain and the 2D barrier both taken from the orbit graph,
+        # the whole call reads about 78 B per floor state; lumping the full
+        # floor chain took 624 B
+        tracemalloc.start()
+        try:
+            pt.kappa2d_stand_in(Lattice2D(3, 4, 3, "periodic"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 400 * 3 ** 12
+
+    def test_kappa2d_move_table_and_orbit_chain_apart(self):
+        # the 2D barrier is swept on the orbit graph, so the floor's move
+        # table (96 B per state) is never built: about 78 B per floor state,
+        # against 260 B when that table and the orbit chain coexisted
+        tracemalloc.start()
+        try:
+            pt.kappa2d_stand_in(Lattice2D(3, 4, 3, "periodic"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * 3 ** 12
+
     def test_kappa2d_value_and_peak_without_floor_move_table(self):
         # enumeration, orbit labels and the 44,366-unknown solve: about 78 B
         # per floor state, against 156 B when the barrier sweep built the
