@@ -320,7 +320,7 @@ def cmd_capacity(cfg: dict) -> int:
         h = potential.equilibrium_potential(chain, P, Q)
         cap = potential.dirichlet(chain, h)
         cap2 = potential.dirichlet_generator(chain, h)
-        mh_cap = potential.mean_hitting_exact(chain, P[0], Q, method="capacity")
+        mh_cap = float(np.sum(chain.mu * h) / cap)  # the capacity route, on the same h
         mh_dir = potential.mean_hitting_exact(chain, P[0], Q, method="direct")
         entry = {
             "capacity": cap,

@@ -2,10 +2,11 @@
 
 State codes are base-q integers in the fixed linear site order (site 0 the
 least significant digit, digit value ``spin - 1``).  The module provides
-exhaustive enumeration with exact energies, bottleneck (min-max)
-communication heights, energy-ceiling neighborhoods, valley depths, the
-barrier formula evaluator with "outside theorem hypothesis" flagging, and
-the typical-configuration machinery.
+exhaustive enumeration with exact energies, symmetry quotients of the
+enumerated spaces, bottleneck (min-max) communication heights,
+energy-ceiling neighborhoods, valley depths, the barrier formula
+evaluator with "outside theorem hypothesis" flagging, and the
+typical-configuration machinery.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .lattice import Lattice2D, LatticeSpec, PERIODIC, SpinConfig, monochrome
 
 __all__ = [
     "StateSpace",
+    "Quotient",
     "enumerate_space",
     "CeilingSet",
     "comm_height",
@@ -140,13 +142,62 @@ class StateSpace:
             )
         return self._move_deltas
 
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """All undirected single-flip edges, each once, as int32 (src, dst)
-        arrays: grouped by ``src`` in increasing order, ``dst > src``."""
-        mt = self.move_table()
-        up = mt > np.arange(self.n_states, dtype=np.int32)[:, None]
-        src = np.repeat(np.arange(self.n_states, dtype=np.int32), np.count_nonzero(up, axis=1))
-        return src, mt[up]
+    @property
+    def size(self) -> np.ndarray:
+        """(n_states,) ones: every state is a class of its own."""
+        return np.ones(self.n_states, dtype=np.int64)
+
+    def quotient(self, labels: np.ndarray, m: int) -> Quotient:
+        """The :class:`Quotient` of the single-flip graph by the ``m``
+        classes of the int32 ``labels`` (``0..m-1``, one per state)."""
+        rep = np.empty(m, dtype=np.int32)
+        rep[labels] = np.arange(self.n_states, dtype=np.int32)  # any member will do
+        return Quotient(
+            energies=self.energies[rep], size=np.bincount(labels, minlength=m),
+            moves=labels[self.moves_from(rep)],
+            grounds={a: int(labels[s]) for a, s in self.ground_states().items()})
+
+
+@dataclass
+class Quotient:
+    """A state space's single-flip graph divided by classes of states
+    (:meth:`StateSpace.quotient`), taken by :func:`comm_height`,
+    :func:`neighborhood`, :func:`valley_depths` and
+    :func:`~spinscape.potential.chain_from_space` as they take the space.
+    It holds only its own arrays, not the space's.
+
+    The classes must be orbits of a group of lattice symmetries.  Then
+    every member of a class has the same energy and the same moves into
+    each class, so one representative's moves stand for all of them.  If
+    classes ``I`` and ``J`` are adjacent, every member of ``I`` has a
+    neighbour in ``J`` (symmetries preserve adjacency), so every path of
+    classes lifts to a path of states with the same energies.  Between
+    states the group fixes, such as the monochrome states, heights are
+    thus the space's, and equilibrium potentials are constant on classes,
+    so the lumped chain keeps their capacity and ``sum mu h`` (Kemeny and
+    Snell, *Finite Markov Chains*, 1960)."""
+
+    energies: np.ndarray  # (m,) int32 energy of each class
+    size: np.ndarray  # (m,) number of states in each class
+    moves: np.ndarray  # (m, n_moves) int32 class reached by each move of a representative
+    grounds: dict  # spin a -> class of the constant-a configuration
+
+    @property
+    def n_states(self) -> int:
+        return len(self.energies)
+
+    def move_table(self) -> np.ndarray:
+        return self.moves
+
+    def energy_levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`_energy_levels` of the energies, cached."""
+        if not hasattr(self, "_levels"):
+            self._levels = _energy_levels(self.energies)
+        return self._levels
+
+    def ground_states(self) -> dict[int, int]:
+        """Map ``spin a -> class of the constant-a configuration``."""
+        return dict(self.grounds)
 
 
 def _energy_levels(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -201,7 +252,7 @@ def _minimax_heights(energies: np.ndarray, moves: np.ndarray, by_energy, roots,
     The graph is given by its node ``energies``, the ``moves`` table whose
     row ``x`` lists the neighbours of node ``x``, and ``by_energy``, the
     energies' :func:`_energy_levels`: a state space's single-flip graph, or
-    a quotient of it whose nodes are classes of states.  Nodes are released
+    a :class:`Quotient` of it whose nodes are classes of states.  Nodes are released
     level by level in order of energy.  At level h the released nodes
     touching an already reached node, plus the roots at h, seed a flood
     fill over the released nodes, which marks everything it reaches with
@@ -235,7 +286,7 @@ def _minimax_heights(energies: np.ndarray, moves: np.ndarray, by_energy, roots,
     return height
 
 
-def comm_height(space: StateSpace, source, target, avoid=None):
+def comm_height(space: StateSpace | Quotient, source, target, avoid=None):
     """Exact min over paths of the max energy (inclusive of endpoints).
 
     ``source`` and ``target`` are state indices or iterables of indices
@@ -254,7 +305,7 @@ def comm_height(space: StateSpace, source, target, avoid=None):
     return int(reached.min()) if len(reached) else None
 
 
-def _state_indices(space: StateSpace, states, role: str) -> np.ndarray:
+def _state_indices(space: StateSpace | Quotient, states, role: str) -> np.ndarray:
     idx = np.atleast_1d(np.asarray(states, dtype=np.int64))
     bad = idx[(idx < 0) | (idx >= space.n_states)]
     if len(bad):
@@ -298,7 +349,7 @@ class CeilingSet:
         return int(self.mask.sum())
 
 
-def neighborhood(space: StateSpace, roots, ceiling: int, avoid=None) -> CeilingSet:
+def neighborhood(space: StateSpace | Quotient, roots, ceiling: int, avoid=None) -> CeilingSet:
     """Flood fill under an energy ceiling.
 
     Roots with energy above the ceiling contribute nothing (a root above
@@ -318,7 +369,7 @@ def neighborhood(space: StateSpace, roots, ceiling: int, avoid=None) -> CeilingS
 # Valley depths
 # ---------------------------------------------------------------------------
 
-def valley_depths(space: StateSpace) -> np.ndarray:
+def valley_depths(space: StateSpace | Quotient) -> np.ndarray:
     """Per-state ``Phi(sigma, ground states) - H(sigma)``.
 
     The minimax heights from the ground states, less the energies.

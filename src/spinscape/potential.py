@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .canon import classify_gateway, mk_mK
-from .landscape import (StateSpace, TypicalSets, _energy_levels, _minimax_heights,
-                        enumerate_space, neighborhood)
+from .landscape import (NON_REPRODUCIBLE_CLAIMS, Quotient, StateSpace, TypicalSets,
+                        comm_height, enumerate_space, neighborhood)
 from .lattice import PERIODIC
 
 __all__ = [
@@ -149,16 +149,28 @@ def _row_positions(first: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return at
 
 
-def chain_from_space(space: StateSpace, beta: float) -> WeightedChain:
-    """The Metropolis chain on an enumerated space at inverse temperature
-    ``beta`` (Gibbs measure, single-flip conductances)."""
+def chain_from_space(space: StateSpace | Quotient, beta: float) -> WeightedChain:
+    """The Metropolis chain at inverse temperature ``beta`` on an enumerated
+    space or a :class:`~spinscape.landscape.Quotient` of one, whose chain
+    is ``chain_from_space(space, beta).lumped(labels, m)``.
+
+    ``mu_I = |I| w_I / Z`` with ``Z = sum_I |I| w_I``, and the conductance
+    between classes ``I < J`` is ``|I| sum_{y ~ rep_I, y in J}
+    exp(-beta max(E_I, E_J)) / Z``, summed per pair by scipy.  Every edge
+    is listed once from its lower end, in increasing order of both ends."""
+    moves, size = space.move_table(), space.size
+    m = len(size)
     E = space.energies.astype(np.float64)
-    w = np.exp(-beta * E)  # ground energy is 0, so no overflow
+    w = size * np.exp(-beta * E)  # ground energy is 0, so no overflow
     Z = w.sum()
-    mu = w / Z
-    src, dst = space.edges()
-    cond = np.exp(-beta * np.maximum(E[src], E[dst])) / Z
-    return WeightedChain(n=space.n_states, src=src, dst=dst, cond=cond, mu=mu)
+    # each class pair once, from its lower class
+    up = moves > np.arange(m, dtype=np.int32)[:, None]
+    frm = np.repeat(np.arange(m, dtype=np.int32), np.count_nonzero(up, axis=1))
+    to = moves[up]
+    del up
+    cond = size[frm] * np.exp(-beta * np.maximum(E[frm], E[to])) / Z
+    c = sp.csr_matrix((cond, (frm, to)), shape=(m, m)).tocoo()  # summed per pair
+    return WeightedChain(n=m, src=c.row, dst=c.col, cond=c.data, mu=w / Z)
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +411,17 @@ def spectral_gap(space: StateSpace, beta: float, method: str = "auto") -> float:
     equilibrium potentials, whose Rayleigh quotients are computed from
     nonnegative sums and stay relatively accurate long after dense
     eigenvalues drown in round-off.  ``"auto"`` picks dense only when the
-    eigenvalue is safely above the dense round-off floor.
-    """
-    if space.n_states > SPECTRAL_GAP_STATE_LIMIT:
-        raise ValueError(
-            f"spectral gap supported up to {SPECTRAL_GAP_STATE_LIMIT} states"
-        )
-    chain = chain_from_space(space, beta)
+    eigenvalue is safely above the dense round-off floor.  Dense is refused
+    when its three float64 ``n x n`` arrays would exceed 1 GiB."""
+    n = space.n_states
+    if n > SPECTRAL_GAP_STATE_LIMIT:
+        raise ValueError(f"spectral gap supported up to {SPECTRAL_GAP_STATE_LIMIT} states")
     if method == "auto":
         method = "dense" if beta * int(space.energies.max()) <= 25 else "variational"
+    if method == "dense" and 24 * n ** 2 > 2 ** 30:  # L, a division temporary and S
+        raise ValueError(f"the dense spectral gap on {n} states needs {24 * n ** 2} bytes, "
+                         f"over {2 ** 30}; use method='variational'")
+    chain = chain_from_space(space, beta)
     if method == "dense":
         W = chain.mu
         L = chain.laplacian().toarray()
@@ -431,8 +445,6 @@ def spectral_gap(space: StateSpace, beta: float, method: str = "auto") -> float:
             for j, fj in enumerate(basis):
                 A[i, j] = dirichlet_bilinear(chain, fi, fj)
                 B[i, j] = float(np.sum(mu * fi * fj)) - means[i] * means[j]
-        from scipy.linalg import eigh
-
         vals = eigh(A, B, eigvals_only=True)
         return float(vals[0])
     raise ValueError(f"unknown method {method!r}")
@@ -602,61 +614,6 @@ def _translation_orbits(space: StateSpace) -> tuple[np.ndarray, int]:
     return labels, int(np.count_nonzero(is_rep))
 
 
-def _orbit_graph(space: StateSpace, labels: np.ndarray,
-                 m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The quotient of the single-flip graph by the classes of ``labels``:
-    each class's size, its energy and the ``(m, n_moves)`` int32 class
-    reached by each single-flip move of one representative state.
-
-    The classes must be orbits of a group of lattice symmetries.  Then
-    every member of a class has the same energy and the same moves into
-    each class, so one representative's moves stand for all of them."""
-    rep = np.empty(m, dtype=np.int32)
-    rep[labels] = np.arange(space.n_states, dtype=np.int32)  # any member will do
-    return (np.bincount(labels, minlength=m), space.energies[rep],
-            labels[space.moves_from(rep)])
-
-
-def _orbit_chain(size: np.ndarray, energies: np.ndarray, moves: np.ndarray,
-                 beta: float) -> WeightedChain:
-    """``chain_from_space(space, beta).lumped(labels, m)``, built from the
-    :func:`_orbit_graph` of ``space`` without the full chain.
-
-    ``mu_I = |I| w_I / Z`` with ``Z = sum_I |I| w_I``, and the conductance
-    between classes ``I < J`` is ``|I| sum_{y ~ rep_I, y in J}
-    exp(-beta max(E_I, E_J)) / Z``: the representative's single-flip
-    moves, counted once per member of ``I``.  Class pairs are summed by
-    scipy from int32 indices."""
-    m = len(size)
-    E = energies.astype(np.float64)
-    w = size * np.exp(-beta * E)  # ground energy is 0, so no overflow
-    Z = w.sum()
-    # each class pair once, from its lower class
-    up = moves > np.arange(m, dtype=np.int32)[:, None]
-    frm = np.repeat(np.arange(m, dtype=np.int32), np.count_nonzero(up, axis=1))
-    to = moves[up]
-    del up
-    cond = size[frm] * np.exp(-beta * np.maximum(E[frm], E[to])) / Z
-    c = sp.csr_matrix((cond, (frm, to)), shape=(m, m)).tocoo()  # summed per pair
-    return WeightedChain(n=m, src=c.row, dst=c.col, cond=c.data, mu=w / Z)
-
-
-def _orbit_barrier(energies: np.ndarray, moves: np.ndarray, s: int, t: int) -> int:
-    """The communication height between classes ``s`` and ``t`` of an
-    :func:`_orbit_graph`, by the level-ordered flood of
-    :func:`~spinscape.landscape.comm_height`.
-
-    For translation orbits and monochrome ``s`` and ``t`` it is the floor's
-    communication height between them: both are fixed points of every
-    translation, energies are constant on orbits, and if orbits ``I`` and
-    ``J`` are adjacent then every member of ``I`` has a neighbour in ``J``
-    (translations preserve adjacency), so every path of orbits lifts to a
-    path of states with the same energies, and every path of states maps
-    to one of orbits."""
-    heights = _minimax_heights(energies, moves, _energy_levels(energies), [s], stop=[t])
-    return int(heights[t])
-
-
 #: The large stable beta at which :func:`constants` solves the 2D stand-in.
 _BETA_STAR = 4.0
 
@@ -669,25 +626,18 @@ def kappa2d_stand_in(spec2d, beta_star: float = _BETA_STAR) -> tuple[float, int]
     companion-theory constant that has no closed form here; provenance is
     recorded by the caller.
 
-    Both numbers come from the floor's translation orbits (44,368 for the
-    3^12 states of a 3x4 periodic floor at q=3): the representatives'
-    single-flip moves, mapped to orbits once (``_orbit_graph``), give the
-    lumped chain and the quotient graph the 2D barrier is swept on, so
+    Both numbers come from the floor's quotient by its translation orbits
+    (44,368 for the 3^12 states of a 3x4 periodic floor at q=3), so
     neither the floor chain nor the floor's move table is ever built.
-    Both are exact.  The Metropolis chain is translation-invariant and
-    both monochrome end states are fixed by every translation, so the
-    equilibrium potential is constant on orbits, and the lumped chain
-    (summed conductances and masses) has the same capacity and
-    ``sum mu h``; the barrier is exact by ``_orbit_barrier``'s argument.
+    Both are exact (see :class:`~spinscape.landscape.Quotient`):
+    translations fix both monochrome end states.
     """
     space2d = enumerate_space(spec2d)
-    g = space2d.ground_states()
-    labels, m = _translation_orbits(space2d)
-    s, t = int(labels[g[1]]), int(labels[g[2]])
-    size, energies, moves = _orbit_graph(space2d, labels, m)
-    del space2d, labels  # the solve needs only the orbit graph
-    E = mean_hitting_exact(_orbit_chain(size, energies, moves, beta_star), s, [t])
-    gamma2d = _orbit_barrier(energies, moves, s, t)
+    floor = space2d.quotient(*_translation_orbits(space2d))
+    del space2d  # the solve needs only the quotient
+    g = floor.ground_states()
+    E = mean_hitting_exact(chain_from_space(floor, beta_star), g[1], [g[2]])
+    gamma2d = comm_height(floor, g[1], g[2])
     return float(math.exp(-gamma2d * beta_star) * E), gamma2d
 
 
@@ -729,8 +679,6 @@ def constants(spec, e_values: dict | None = None) -> ConstantsBundle:
     for n in range(1, q):
         c[n] = b[n] + e[n] + e[q - n]
     kappa = (q - 1) * c[1]
-    from .landscape import NON_REPRODUCIBLE_CLAIMS
-
     return ConstantsBundle(
         q=q,
         b=b,

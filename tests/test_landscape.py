@@ -67,18 +67,6 @@ class TestEnumeration:
             diff = space.config(t).spins != c.spins
             assert diff.sum() == 1
 
-    def test_edges_int32_each_once(self, space_223_open):
-        space = space_223_open
-        src, dst = space.edges()
-        assert src.dtype == dst.dtype == np.int32
-        assert np.all(np.diff(src) >= 0) and np.all(dst > src)
-        # every move once, from its lower end, in move-table order
-        mt = space.move_table()
-        want_src = np.repeat(np.arange(space.n_states), mt.shape[1])
-        keep = mt.ravel() > want_src
-        assert np.array_equal(src, want_src[keep])
-        assert np.array_equal(dst, mt.ravel()[keep])
-
     @pytest.mark.parametrize("spec", [LatticeSpec(2, 2, 2, 2, "open"),
                                       Lattice2D(3, 3, 2, "periodic")])
     def test_site_image_matches_transpose(self, spec):
@@ -174,9 +162,9 @@ def _oracle_components(space, ceiling, avoid):
     from scipy.sparse.csgraph import connected_components
 
     allowed = (space.energies <= ceiling) & ~avoid
-    src, dst = space.edges()
+    n, mt = space.n_states, space.move_table()
+    src, dst = np.repeat(np.arange(n), mt.shape[1]), mt.ravel()  # every move
     keep = allowed[src] & allowed[dst]
-    n = space.n_states
     graph = csr_matrix((np.ones(keep.sum()), (src[keep], dst[keep])), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
     return np.where(allowed, labels, -1)

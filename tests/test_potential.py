@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import scipy.sparse as sp
 
 from spinscape import potential as pt
 from spinscape.canon import canonical_path
-from spinscape.landscape import comm_height, enumerate_space, typical_sets
+from spinscape.landscape import (comm_height, enumerate_space, neighborhood, typical_sets,
+                                 valley_depths)
 from spinscape.lattice import Lattice2D, LatticeSpec
 
 
@@ -29,6 +31,26 @@ class TestChain:
         ch = pt.chain_from_space(space_223_open, 1.5)
         out = ch.generator_apply(np.ones(ch.n))
         assert np.max(np.abs(out)) < 1e-14
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec(2, 2, 4, 2, "open"), LatticeSpec(2, 2, 2, 3, "open"),
+        Lattice2D(3, 4, 2, "periodic"), Lattice2D(3, 3, 3, "periodic"),
+    ], ids=["2x2x4-q2", "2x2x2-q3", "3x4-q2-periodic", "3x3-q3-periodic"])
+    def test_edge_list_reference(self, spec):
+        # every move to a higher index, once, in move-table order, with
+        # conductance exp(-beta max(E)) / Z: byte for byte
+        space, beta = enumerate_space(spec), 3.0
+        E = space.energies.astype(np.float64)
+        w = np.exp(-beta * E)
+        Z = w.sum()
+        mt = space.move_table()
+        src = np.repeat(np.arange(space.n_states, dtype=np.int32), mt.shape[1])
+        up = mt.ravel() > src
+        src, dst = src[up], mt.ravel()[up]
+        want = (src, dst, np.exp(-beta * np.maximum(E[src], E[dst])) / Z, w / Z)
+        ch = pt.chain_from_space(space, beta)
+        for got, ref in zip((ch.src, ch.dst, ch.cond, ch.mu), want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 class TestDirichlet:
@@ -259,7 +281,7 @@ class TestConjugateGradientBranch:
 class TestRefinementStop:
     """Refinement stops once the residual meets the componentwise bound
     2^-53 (|A||x| + |b|), or after three rounds; the backward error ends
-    below 2e-16 on both solver branches and on an orbit chain."""
+    below 2e-16 on both solver branches and on a quotient's chain."""
 
     @pytest.mark.parametrize("beta", [2.0, 3.0, 4.0])
     @pytest.mark.parametrize("spec", [
@@ -271,7 +293,7 @@ class TestRefinementStop:
         g = space.ground_states()
         if isinstance(spec, Lattice2D):
             labels, m = pt._translation_orbits(space)
-            chain = pt._orbit_chain(*pt._orbit_graph(space, labels, m), beta)
+            chain = pt.chain_from_space(space.quotient(labels, m), beta)
             s, t = labels[g[1]], labels[g[2]]
         else:
             chain, s, t = pt.chain_from_space(space, beta), g[1], g[2]
@@ -302,6 +324,19 @@ class TestSpectralGap:
         space.energies = np.zeros(2**17, dtype=np.int32)  # fake oversize
         with pytest.raises(ValueError):
             pt.spectral_gap(space, 1.0)
+
+    @pytest.mark.parametrize("beta, method", [(0.5, "auto"), (3.0, "dense")])
+    def test_dense_refused_over_one_gib(self, space_224_open, beta, method):
+        # three 65,536^2 float64 arrays would take 34 GB each; the refusal
+        # comes before the chain is built (auto picks dense at beta = 0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="bytes"):
+                pt.spectral_gap(space_224_open, beta, method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestAuxChain:
@@ -450,7 +485,7 @@ class TestTranslationLumping:
     def test_orbit_chain_is_the_lumped_chain(self, K, L, q, beta):
         space = enumerate_space(Lattice2D(K, L, q, "periodic"))
         labels, m = pt._translation_orbits(space)
-        got = pt._orbit_chain(*pt._orbit_graph(space, labels, m), beta)
+        got = pt.chain_from_space(space.quotient(labels, m), beta)
         want = pt.chain_from_space(space, beta).lumped(labels, m)
         G, W = (sp.csr_matrix((c.cond, (c.src, c.dst)), shape=(m, m)) for c in (got, want))
         G.sum_duplicates()
@@ -462,7 +497,7 @@ class TestTranslationLumping:
     def test_orbit_chain_on_open_floor_is_the_full_chain(self):
         space = enumerate_space(Lattice2D(3, 3, 2, "open"))
         labels, m = pt._translation_orbits(space)
-        got = pt._orbit_chain(*pt._orbit_graph(space, labels, m), 3.0)
+        got = pt.chain_from_space(space.quotient(labels, m), 3.0)
         want = pt.chain_from_space(space, 3.0)
         order = np.lexsort((want.dst, want.src))
         assert got.n == want.n
@@ -470,6 +505,36 @@ class TestTranslationLumping:
         assert np.array_equal(got.dst, want.dst[order])
         assert np.all(np.abs(got.cond - want.cond[order]) <= 1e-14 * want.cond[order])
         assert np.all(np.abs(got.mu - want.mu) <= 1e-14 * want.mu)
+
+
+class TestQuotient:
+    def test_identity_quotient_is_the_space(self, space_223_open):
+        space = space_223_open
+        n = space.n_states
+        quo = space.quotient(np.arange(n, dtype=np.int32), n)
+        g = space.ground_states()
+        assert quo.ground_states() == g
+        assert comm_height(quo, g[1], g[2]) == comm_height(space, g[1], g[2])
+        for ceiling in (3, 5):
+            assert np.array_equal(neighborhood(quo, [g[1]], ceiling).mask,
+                                  neighborhood(space, [g[1]], ceiling).mask)
+        assert np.array_equal(valley_depths(quo), valley_depths(space))
+        got, want = pt.chain_from_space(quo, 2.0), pt.chain_from_space(space, 2.0)
+        for a, b in ((got.src, want.src), (got.dst, want.dst), (got.cond, want.cond),
+                     (got.mu, want.mu)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_quotient_outlives_its_space(self):
+        # the floor space is freed once only its quotient is kept, which the
+        # kappa2d memory bounds rest on
+        space = enumerate_space(Lattice2D(3, 3, 2, "periodic"))
+        floor = space.quotient(*pt._translation_orbits(space))
+        alive = weakref.ref(space)
+        del space
+        assert alive() is None
+        g = floor.ground_states()
+        assert comm_height(floor, g[1], g[2]) == 8
+        assert pt.chain_from_space(floor, 2.0).mu.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConstants:
@@ -484,44 +549,38 @@ class TestConstants:
         space = enumerate_space(Lattice2D(K, L, q, "periodic"))
         g = space.ground_states()
         labels, m = pt._translation_orbits(space)
-        energies, moves = pt._orbit_graph(space, labels, m)[1:]
-        got = pt._orbit_barrier(energies, moves, labels[g[1]], labels[g[2]])
+        got = comm_height(space.quotient(labels, m), labels[g[1]], labels[g[2]])
         assert got == comm_height(space, g[1], g[2])
 
-    def test_kappa2d_traced_peak_per_floor_state(self):
-        # with the chain and the 2D barrier both taken from the orbit graph,
-        # the whole call reads about 78 B per floor state; lumping the full
-        # floor chain took 624 B
-        tracemalloc.start()
-        try:
-            pt.kappa2d_stand_in(Lattice2D(3, 4, 3, "periodic"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 400 * 3 ** 12
-
-    def test_kappa2d_move_table_and_orbit_chain_apart(self):
-        # the 2D barrier is swept on the orbit graph, so the floor's move
-        # table (96 B per state) is never built: about 78 B per floor state,
-        # against 260 B when that table and the orbit chain coexisted
-        tracemalloc.start()
-        try:
-            pt.kappa2d_stand_in(Lattice2D(3, 4, 3, "periodic"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 200 * 3 ** 12
-
-    def test_kappa2d_value_and_peak_without_floor_move_table(self):
-        # enumeration, orbit labels and the 44,366-unknown solve: about 78 B
-        # per floor state, against 156 B when the barrier sweep built the
-        # floor's move table
+    @pytest.fixture(scope="class")
+    def traced_kappa2d(self):
+        """``kappa2d_stand_in`` on the 3x4 q=3 floor, run once under
+        ``tracemalloc``: its value and its traced peak in bytes."""
         tracemalloc.start()
         try:
             got = pt.kappa2d_stand_in(Lattice2D(3, 4, 3, "periodic"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return got, peak
+
+    def test_kappa2d_traced_peak_per_floor_state(self, traced_kappa2d):
+        # with the chain and the 2D barrier both taken from the floor's
+        # quotient, the whole call reads about 78 B per floor state; lumping
+        # the full floor chain took 624 B
+        assert traced_kappa2d[1] <= 400 * 3 ** 12
+
+    def test_kappa2d_move_table_and_orbit_chain_apart(self, traced_kappa2d):
+        # the 2D barrier is swept on the quotient, so the floor's move table
+        # (96 B per state) is never built: about 78 B per floor state,
+        # against 260 B when that table and the lumped chain coexisted
+        assert traced_kappa2d[1] <= 200 * 3 ** 12
+
+    def test_kappa2d_value_and_peak_without_floor_move_table(self, traced_kappa2d):
+        # enumeration, orbit labels, the quotient and the 44,366-unknown
+        # solve: about 78 B per floor state, against 156 B when the barrier
+        # sweep built the floor's move table
+        got, peak = traced_kappa2d
         assert got == (0.13495954945691074, 8)
         assert peak <= 120 * 3 ** 12
 
