@@ -324,6 +324,9 @@ def cmd_capacity(cfg: dict) -> int:
         mh_dir = potential.mean_hitting_exact(chain, P[0], Q, method="direct")
         entry = {
             "capacity": cap,
+            # the lattice-symmetry classes the potential was solved on
+            "potential_solved_on": {"classes": potential.potential_classes(chain, P, Q),
+                                    "states": chain.n},
             "dirichlet_rel_gap": abs(cap - cap2) / cap,
             "mean_hitting_capacity_route": mh_cap,
             "mean_hitting_direct_route": mh_dir,

@@ -142,10 +142,34 @@ class StateSpace:
             )
         return self._move_deltas
 
-    @property
-    def size(self) -> np.ndarray:
-        """(n_states,) ones: every state is a class of its own."""
-        return np.ones(self.n_states, dtype=np.int64)
+    def orbits(self, perms) -> tuple[np.ndarray, int]:
+        """Label every state by its orbit under the group generated by the
+        site permutations ``perms`` (each as in :meth:`site_image`).
+        Returns ``(labels, m)`` with int32 labels in ``0..m-1`` numbered in
+        the order of each orbit's least state (int32 like the move tables,
+        to halve the lumping's index arrays).
+
+        Each state's least orbit member is found by min-propagation over
+        the generators' images: ``least = min(least, least[image])`` until
+        nothing changes."""
+        images = [self.site_image(perm) for perm in perms]
+        least, before = np.arange(self.n_states, dtype=np.int32), None
+        while before is None or not np.array_equal(least, before):
+            before = least
+            for image in images:
+                least = np.minimum(least, least[image])
+        is_rep = least == np.arange(self.n_states)
+        labels = (np.cumsum(is_rep, dtype=np.int32) - 1)[least]
+        return labels, int(np.count_nonzero(is_rep))
+
+    def symmetry_quotient(self) -> tuple[np.ndarray, Quotient]:
+        """The :meth:`orbits` of the lattice's symmetry group
+        (``spec.symmetry_generators()``) and the :meth:`quotient` by them,
+        computed at the first call and cached, like the move table."""
+        if not hasattr(self, "_symmetry_quotient"):
+            labels, m = self.orbits(self.spec.symmetry_generators())
+            self._symmetry_quotient = labels, self.quotient(labels, m)
+        return self._symmetry_quotient
 
     def quotient(self, labels: np.ndarray, m: int) -> Quotient:
         """The :class:`Quotient` of the single-flip graph by the ``m``

@@ -138,6 +138,27 @@ class _Grid:
             raise ValueError(f"linear index {i} out of range")
         return [int(j) for j in self.neighbor_lists[i]]
 
+    def unit_translations(self) -> list[np.ndarray]:
+        """One unit shift per axis on a torus, none on a box: site
+        permutations in the :func:`axis_images` convention that generate
+        the translation group."""
+        if self.boundary != PERIODIC:
+            return []
+        idx = np.arange(self.n_sites).reshape(self.dims[::-1])
+        return [np.roll(idx, 1, axis).ravel() for axis in range(idx.ndim)]
+
+    def symmetry_generators(self) -> list[np.ndarray]:
+        """Site permutations in the :func:`axis_images` convention that
+        generate the grid's symmetry group: every axis permutation between
+        equal extents, one reflection per axis and the unit translations.
+        Each maps bonds to bonds and fixes every monochrome configuration;
+        spin permutations are not included."""
+        shape = self.dims[::-1]
+        idx = np.arange(self.n_sites).reshape(shape)
+        perms = [*axis_images(shape).values(), *(np.flip(idx, a).ravel() for a in range(idx.ndim)),
+                 *self.unit_translations()]
+        return [p for p in perms if not np.array_equal(p, idx.ravel())]
+
 
 @dataclass(frozen=True)
 class LatticeSpec(_Grid):

@@ -10,7 +10,8 @@ and the test function with its H1 diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +21,6 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from .canon import classify_gateway, mk_mK
 from .landscape import (NON_REPRODUCIBLE_CLAIMS, Quotient, StateSpace, TypicalSets,
                         comm_height, enumerate_space, neighborhood)
-from .lattice import PERIODIC
 
 __all__ = [
     "WeightedChain",
@@ -28,6 +28,7 @@ __all__ = [
     "dirichlet",
     "dirichlet_generator",
     "equilibrium_potential",
+    "potential_classes",
     "capacity",
     "unit_current",
     "mean_hitting_exact",
@@ -53,7 +54,9 @@ class WeightedChain:
     """A reversible chain given by its edge conductances.
 
     ``mu`` is the invariant probability; conductance
-    ``c_e = mu(x) r(x, y) = mu(y) r(y, x)`` is symmetric.
+    ``c_e = mu(x) r(x, y) = mu(y) r(y, x)`` is symmetric.  ``size`` counts
+    the states of each node when the nodes are classes of states (the
+    chain of a :class:`~spinscape.landscape.Quotient`).
     """
 
     n: int
@@ -61,6 +64,22 @@ class WeightedChain:
     dst: np.ndarray
     cond: np.ndarray
     mu: np.ndarray
+    size: np.ndarray | None = None
+    #: ``(space, beta)`` of a chain that :func:`chain_from_space` built
+    #: from an enumerated space, for :attr:`symmetry_lumping`
+    origin: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def symmetry_lumping(self) -> tuple[np.ndarray, "WeightedChain"] | None:
+        """``(labels, chain)``: the lattice-symmetry orbits of the space
+        this chain was built from and the chain lumped by them, built from
+        orbit representatives at the first use; ``None`` for a chain with
+        no ``origin``."""
+        if self.origin is None:
+            return None
+        space, beta = self.origin
+        labels, quotient = space.symmetry_quotient()
+        return labels, chain_from_space(quotient, beta)
 
     def laplacian(self) -> sp.csr_matrix:
         """The symmetric conductance Laplacian ``L`` with
@@ -156,21 +175,34 @@ def chain_from_space(space: StateSpace | Quotient, beta: float) -> WeightedChain
 
     ``mu_I = |I| w_I / Z`` with ``Z = sum_I |I| w_I``, and the conductance
     between classes ``I < J`` is ``|I| sum_{y ~ rep_I, y in J}
-    exp(-beta max(E_I, E_J)) / Z``, summed per pair by scipy.  Every edge
-    is listed once from its lower end, in increasing order of both ends."""
-    moves, size = space.move_table(), space.size
-    m = len(size)
+    exp(-beta max(E_I, E_J)) / Z``, summed per pair by scipy on a quotient
+    (on an enumerated space no pair repeats).  Every edge is listed once
+    from its lower end, in increasing order of both ends.
+    A chain of an enumerated space records it as its ``origin``, from
+    which :attr:`WeightedChain.symmetry_lumping` is built."""
+    moves = space.move_table()
+    m = len(moves)
+    size = space.size if isinstance(space, Quotient) else None
     E = space.energies.astype(np.float64)
-    w = size * np.exp(-beta * E)  # ground energy is 0, so no overflow
-    Z = w.sum()
+    w = np.exp(-beta * E)  # ground energy is 0, so no overflow
     # each class pair once, from its lower class
     up = moves > np.arange(m, dtype=np.int32)[:, None]
     frm = np.repeat(np.arange(m, dtype=np.int32), np.count_nonzero(up, axis=1))
     to = moves[up]
     del up
-    cond = size[frm] * np.exp(-beta * np.maximum(E[frm], E[to])) / Z
+    cond = np.exp(-beta * np.maximum(E[frm], E[to]))
+    if size is not None:
+        w *= size
+        cond *= size[frm]
+    Z = w.sum()
+    cond /= Z
+    if size is None:
+        # one state per class: the targets of a row are distinct and increase along it
+        chain = WeightedChain(n=m, src=frm, dst=to, cond=cond, mu=w / Z)
+        chain.origin = (space, beta)
+        return chain
     c = sp.csr_matrix((cond, (frm, to)), shape=(m, m)).tocoo()  # summed per pair
-    return WeightedChain(n=m, src=c.row, dst=c.col, cond=c.data, mu=w / Z)
+    return WeightedChain(n=m, src=c.row, dst=c.col, cond=c.data, mu=w / Z, size=size)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +289,11 @@ def _solve_dirichlet_problem(
         return f
     A = chain._laplacian_on(free)
     m, diag = A.shape[0], A.diagonal()
-    n_isolated = int(np.count_nonzero(diag == 0.0))
-    if n_isolated:
-        raise RuntimeError(f"{n_isolated} of {m} free states have zero total conductance "
-                           "(underflowed); the Dirichlet problem is singular")
+    isolated = diag == 0.0
+    if isolated.any():  # counted in states, also on a lumped chain
+        size = np.ones(m, dtype=np.int64) if chain.size is None else chain.size[free]
+        raise RuntimeError(f"{size[isolated].sum()} of {size.sum()} free states have zero total "
+                           "conductance (underflowed); the Dirichlet problem is singular")
     # the f = 1 boundary enters through the conductances into ones_set, in
     # the edge order of WeightedChain._onto_ends
     b = np.zeros(chain.n)
@@ -339,12 +372,47 @@ def _extended_residual(A: sp.csr_matrix, x: np.ndarray, b: np.ndarray,
     return r, converged
 
 
+def _symmetry_lumping_for(chain: WeightedChain, P, Q):
+    """The chain's :attr:`~WeightedChain.symmetry_lumping` when ``P`` and
+    ``Q`` are unions of its orbits (each class they meet holds as many of
+    their states as the class has), else ``None``."""
+    lumping = chain.symmetry_lumping
+    if lumping is None:
+        return None
+    labels, lumped = lumping
+    for states in (P, Q):
+        cls = labels[np.unique(np.asarray(states, dtype=np.int64))]
+        if np.any(np.bincount(cls, minlength=lumped.n)[cls] != lumped.size[cls]):
+            return None
+    return lumping
+
+
 def equilibrium_potential(space_or_chain, P, Q, beta: float | None = None) -> np.ndarray:
     """``h(x) = P_x[hit P before Q]``: harmonic off ``P | Q`` with boundary
-    values 1 on ``P`` and 0 on ``Q``."""
+    values 1 on ``P`` and 0 on ``Q``.
+
+    On a chain built from an enumerated space, when ``P`` and ``Q`` are
+    unions of lattice-symmetry orbits, every symmetry maps ``h`` to the
+    potential of the same problem, so ``h`` is constant on orbits: it is
+    solved on the lumped chain (:attr:`WeightedChain.symmetry_lumping`)
+    and spread back to the states.  Any other problem is solved on the
+    chain's states."""
     chain = _as_chain(space_or_chain, beta)
-    h = _solve_dirichlet_problem(chain, P, Q)
+    lumping = _symmetry_lumping_for(chain, P, Q)
+    if lumping is None:
+        h = _solve_dirichlet_problem(chain, P, Q)
+    else:
+        labels, lumped = lumping
+        h = _solve_dirichlet_problem(lumped, labels[P], labels[Q])[labels]
     return np.clip(h, 0.0, 1.0)
+
+
+def potential_classes(chain: WeightedChain, P, Q) -> int:
+    """The number of nodes :func:`equilibrium_potential` solves ``(P, Q)``
+    on: the lattice-symmetry classes when it lumps, else the chain's
+    states."""
+    lumping = _symmetry_lumping_for(chain, P, Q)
+    return chain.n if lumping is None else lumping[1].n
 
 
 def capacity(space_or_chain, P, Q, beta: float | None = None) -> float:
@@ -589,29 +657,10 @@ class ConstantsBundle:
 
 
 def _translation_orbits(space: StateSpace) -> tuple[np.ndarray, int]:
-    """Label every state of a floor space by its orbit under the lattice
-    translations ``(k, l) -> (k+dk mod K, l+dl mod L)``; an open floor has
-    only the identity.  Returns ``(labels, m)`` with int32 labels in
-    ``0..m-1`` numbered in the order of each orbit's least state (int32
-    like the move tables, to halve the lumping's index arrays).
-
-    Each state's least orbit member is found by min-propagation over the
-    two unit shifts, which generate the translation group:
-    ``least = min(least, least[image])`` until nothing changes."""
-    spec = space.spec
-    K, L = spec.K, spec.L
-    site = np.arange(spec.n_sites)
-    k, l = site % K, site // K
-    units = [(k + 1) % K + K * l, k + K * ((l + 1) % L)] if spec.boundary == PERIODIC else []
-    images = [space.site_image(perm) for perm in units]
-    least, before = np.arange(space.n_states, dtype=np.int32), None
-    while before is None or not np.array_equal(least, before):
-        before = least
-        for image in images:
-            least = np.minimum(least, least[image])
-    is_rep = least == np.arange(space.n_states)
-    labels = (np.cumsum(is_rep, dtype=np.int32) - 1)[least]
-    return labels, int(np.count_nonzero(is_rep))
+    """:meth:`~spinscape.landscape.StateSpace.orbits` of the lattice
+    translations alone (``spec.unit_translations()``; an open lattice has
+    only the identity)."""
+    return space.orbits(space.spec.unit_translations())
 
 
 #: The large stable beta at which :func:`constants` solves the 2D stand-in.
@@ -634,10 +683,12 @@ def kappa2d_stand_in(spec2d, beta_star: float = _BETA_STAR) -> tuple[float, int]
     """
     space2d = enumerate_space(spec2d)
     floor = space2d.quotient(*_translation_orbits(space2d))
-    del space2d  # the solve needs only the quotient
+    del space2d  # the barrier and the chain need only the quotient
     g = floor.ground_states()
-    E = mean_hitting_exact(chain_from_space(floor, beta_star), g[1], [g[2]])
     gamma2d = comm_height(floor, g[1], g[2])
+    chain = chain_from_space(floor, beta_star)
+    del floor  # the solve needs only the chain
+    E = mean_hitting_exact(chain, g[1], [g[2]])
     return float(math.exp(-gamma2d * beta_star) * E), gamma2d
 
 

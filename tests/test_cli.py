@@ -198,6 +198,8 @@ class TestCapacityKappaEnumerate:
         assert entry["dirichlet_rel_gap"] <= 1e-10
         assert entry["mean_hitting_rel_gap"] <= 1e-8
         assert entry["test_function"]["dirichlet_principle_holds"]
+        # 4,096 states in 378 orbits of the 16-element symmetry group
+        assert entry["potential_solved_on"] == {"classes": 378, "states": 4096}
 
     def test_kappa(self, capsys):
         code, rep = run(

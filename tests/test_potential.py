@@ -1,5 +1,6 @@
 """Potential theory: Dirichlet forms, capacities, gaps, aux chains, harmonic currents."""
 
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -537,6 +538,119 @@ class TestQuotient:
         assert pt.chain_from_space(floor, 2.0).mu.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def _burnside(shape, q):
+    """Orbits of q-colourings of a box's sites (``shape`` slowest axis
+    first) under its axis permutations between equal extents and its
+    reflections: the mean over the group of ``q ** cycles``."""
+    idx = np.arange(math.prod(shape)).reshape(shape)
+    total, order = 0, 0
+    for axes in itertools.permutations(range(len(shape))):
+        if any(shape[a] != e for a, e in zip(axes, shape)):
+            continue
+        for flips in itertools.product((False, True), repeat=len(shape)):
+            perm = idx.transpose(axes)
+            perm = np.flip(perm, [a for a, f in enumerate(flips) if f]).ravel()
+            seen, cycles = np.zeros(len(perm), dtype=bool), 0
+            for start in range(len(perm)):
+                cycles += not seen[start]
+                while not seen[start]:
+                    seen[start], start = True, perm[start]
+            total, order = total + q ** cycles, order + 1
+    return total // order
+
+
+def _one_state_solve(chain, s, t):
+    """Capacity and capacity-route hitting time from one state solve on a
+    re-wrapped copy of ``chain``, which has no symmetry lumping."""
+    raw = pt.WeightedChain(chain.n, chain.src, chain.dst, chain.cond, chain.mu)
+    assert raw.symmetry_lumping is None
+    h = pt.equilibrium_potential(raw, [s], [t])
+    cap = pt.dirichlet(raw, h)
+    return cap, float(np.sum(raw.mu * h) / cap)
+
+
+@pytest.fixture(scope="module")
+def space_233_open():
+    return enumerate_space(LatticeSpec(2, 3, 3, 2, "open"))
+
+
+class TestSymmetryLumping:
+    """Potentials between unions of lattice-symmetry orbits are solved on
+    the orbits of axis permutations, reflections and translations."""
+
+    @pytest.mark.parametrize("dims, q, count", [
+        ((2, 2, 2), 2, 22), ((2, 2, 3), 2, 378), ((2, 2, 4), 2, 4756),
+        ((2, 3, 3), 2, 17676), ((2, 2, 2), 3, 267),
+    ])
+    def test_orbit_count_is_burnside(self, dims, q, count):
+        assert _burnside(dims[::-1], q) == count
+        space = enumerate_space(LatticeSpec(*dims, q, "open"))
+        labels, quotient = space.symmetry_quotient()
+        assert quotient.n_states == count and labels.dtype == np.int32
+        assert np.array_equal(np.unique(labels), np.arange(count))
+        assert space.symmetry_quotient()[1] is quotient  # cached
+
+    @pytest.mark.parametrize("spec, n_gens", [
+        (LatticeSpec(2, 2, 4, 2, "open"), 4), (LatticeSpec(2, 2, 2, 3, "open"), 8),
+        (Lattice2D(3, 3, 3, "periodic"), 5), (Lattice2D(3, 4, 2, "periodic"), 4),
+    ], ids=["2x2x4-open", "2x2x2-q3-open", "3x3-q3-periodic", "3x4-periodic"])
+    def test_labels_invariant_under_every_generator(self, spec, n_gens):
+        # axis permutations between equal extents, one reflection per axis,
+        # one unit translation per axis of a torus
+        space = enumerate_space(spec)
+        labels, _ = space.symmetry_quotient()
+        gens = spec.symmetry_generators()
+        assert len(gens) == n_gens
+        for perm in gens:
+            assert np.array_equal(labels[space.site_image(perm)], labels)
+
+    @pytest.mark.parametrize("beta", [2.0, 3.0, 4.0])
+    def test_lumped_agrees_with_states_224(self, space_224_open, beta):
+        g = space_224_open.ground_states()
+        chain = pt.chain_from_space(space_224_open, beta)
+        assert pt.potential_classes(chain, [g[1]], [g[2]]) == 4756
+        cap, hit = _one_state_solve(chain, g[1], g[2])
+        assert pt.capacity(chain, [g[1]], [g[2]]) == pytest.approx(cap, rel=1e-12, abs=0)
+        assert pt.mean_hitting_exact(chain, g[1], [g[2]]) == pytest.approx(hit, rel=1e-12, abs=0)
+
+    def test_lumped_agrees_with_states_233(self, space_233_open):
+        g = space_233_open.ground_states()
+        chain = pt.chain_from_space(space_233_open, 3.0)
+        assert pt.potential_classes(chain, [g[1]], [g[2]]) == 17676
+        cap, hit = _one_state_solve(chain, g[1], g[2])
+        assert pt.capacity(chain, [g[1]], [g[2]]) == pytest.approx(cap, rel=1e-12, abs=0)
+        assert pt.mean_hitting_exact(chain, g[1], [g[2]]) == pytest.approx(hit, rel=1e-12, abs=0)
+
+    def test_seeded_source_solved_on_states(self, space_223_open):
+        # a single non-ground state is no union of orbits: the potential is
+        # the state solve's, bit for bit, and the two routes still agree
+        g = space_223_open.ground_states()
+        s = int(np.flatnonzero(space_223_open.energies == 10)[0])
+        chain = pt.chain_from_space(space_223_open, 3.0)
+        assert pt.potential_classes(chain, [s], [g[2]]) == chain.n
+        raw = pt.WeightedChain(chain.n, chain.src, chain.dst, chain.cond, chain.mu)
+        h = pt.equilibrium_potential(chain, [s], [g[2]])
+        assert h.tobytes() == pt.equilibrium_potential(raw, [s], [g[2]]).tobytes()
+        m_cap = pt.mean_hitting_exact(chain, s, [g[2]], method="capacity")
+        m_dir = pt.mean_hitting_exact(chain, s, [g[2]], method="direct")
+        assert abs(m_cap - m_dir) / m_cap < 1e-8
+
+    @pytest.mark.parametrize("beta", [2.0, 3.0, 4.0])
+    def test_componentwise_backward_error_on_the_quotient(self, space_224_open, beta):
+        # the lumped chain's own reduced system, solved by conjugate
+        # gradients, meets the bound of TestRefinementStop
+        g = space_224_open.ground_states()
+        labels, chain = pt.chain_from_space(space_224_open, beta).symmetry_lumping
+        assert chain.n == 4756
+        s, t = labels[g[1]], labels[g[2]]
+        for ones, zeros, extra in (([s], [t], None), ([], [t], chain.mu)):
+            x = pt._solve_dirichlet_problem(chain, ones, zeros, extra)
+            A, b, idx = _reduced_system(chain, ones, zeros, extra)
+            A_ld, x_ld, b_ld = (v.astype(np.longdouble) for v in (A, x[idx], b))
+            err = np.abs(b_ld - A_ld @ x_ld) / (abs(A_ld) @ np.abs(x_ld) + np.abs(b_ld))
+            assert np.max(err) <= 2e-16
+
+
 class TestConstants:
     def test_kappa2d_stand_in(self):
         spec2d = Lattice2D(3, 3, 2, "periodic")
@@ -566,19 +680,21 @@ class TestConstants:
 
     def test_kappa2d_traced_peak_per_floor_state(self, traced_kappa2d):
         # with the chain and the 2D barrier both taken from the floor's
-        # quotient, the whole call reads about 78 B per floor state; lumping
-        # the full floor chain took 624 B
+        # quotient, and the quotient dropped before the solve, the whole
+        # call reads about 70 B per floor state; lumping the full floor
+        # chain took 624 B
         assert traced_kappa2d[1] <= 400 * 3 ** 12
 
     def test_kappa2d_move_table_and_orbit_chain_apart(self, traced_kappa2d):
         # the 2D barrier is swept on the quotient, so the floor's move table
-        # (96 B per state) is never built: about 78 B per floor state,
+        # (96 B per state) is never built: about 70 B per floor state,
         # against 260 B when that table and the lumped chain coexisted
         assert traced_kappa2d[1] <= 200 * 3 ** 12
 
     def test_kappa2d_value_and_peak_without_floor_move_table(self, traced_kappa2d):
         # enumeration, orbit labels, the quotient and the 44,366-unknown
-        # solve: about 78 B per floor state, against 156 B when the barrier
+        # solve, with the quotient's moves freed before it: about 70 B per
+        # floor state (78 B with them kept), against 156 B when the barrier
         # sweep built the floor's move table
         got, peak = traced_kappa2d
         assert got == (0.13495954945691074, 8)
