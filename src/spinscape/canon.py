@@ -28,7 +28,6 @@ from .lattice import (Lattice2D, LatticeSpec, OPEN, PERIODIC, Site, SpinConfig,
 
 __all__ = [
     "mk_mK",
-    "n_window_bounds",
     "TorusArc",
     "arcs_of_length",
     "FloorShape",
@@ -70,16 +69,6 @@ def mk_mK(K: int) -> int:
     while (t + 1) ** 3 <= target:
         t += 1
     return t
-
-
-def n_window_bounds(K: int) -> tuple[int, int]:
-    """Bracket for the slab-width threshold of forced barrier crossings.
-
-    The explicit escape-path construction gives the lower bound
-    ``isqrt(K)`` and the height-window machinery the upper bound
-    ``mk_mK(K)``; the exact value in between is an open question.
-    """
-    return math.isqrt(K), mk_mK(K)
 
 
 # ---------------------------------------------------------------------------

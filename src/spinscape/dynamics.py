@@ -1,14 +1,15 @@
 """Metropolis-Hastings single-spin-flip dynamics.
 
-Continuous-time rates ``r(sigma, sigma^{x,a}) = exp(-beta * max(dH, 0))``
-(moves to lower or equal energy happen at rate 1), the discrete-time kernel
-with jump probability ``(q |Lambda|)^{-1} exp(-beta * [dH]_+)``, Gibbs
-weights, event-driven trajectory simulation with exact exponential clocks,
-an ensemble sampler over enumerated spaces, and the ground-state trace
-transform.  ``simulate_hit`` keeps its moves in the bins of the n-fold way
-(Bortz, Kalos and Lebowitz 1975), one per energy raise, so drawing and
-updating a move costs O(degree * q) whatever the lattice size.  The
-ensemble sampler cuts each hitting time at its returns to the start
+The continuous-time chain jumps at rate
+``r(sigma, sigma^{x,a}) = exp(-beta * max(dH, 0))`` (moves to lower or
+equal energy happen at rate 1).  This module holds its event-driven
+trajectory simulation with exact exponential clocks, an ensemble sampler
+over enumerated spaces, and the ground-state trace transform.
+
+``simulate_hit`` keeps its moves in the bins of the n-fold way (Bortz,
+Kalos and Lebowitz 1975), one per energy raise, so drawing and updating
+a move costs O(degree * q) whatever the lattice size.  The ensemble
+sampler cuts each hitting time at its returns to the start
 state (regenerative simulation, Crane and Iglehart 1975): one lane per
 walker runs excursions from the start, each indexed when it begins, and
 walkers are assembled from them in index order, so no lane idles while
@@ -32,87 +33,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import energy, flip_delta
 from .lattice import SpinConfig, is_ground
 
 __all__ = [
-    "rate",
-    "rate_from_delta",
-    "discrete_kernel",
-    "gibbs",
-    "partition_function",
     "TrajectorySample",
     "simulate_hit",
     "TraceSample",
     "trace_transform",
     "sample_hitting_times",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Rates and weights
-# ---------------------------------------------------------------------------
-
-def rate_from_delta(delta: float, beta: float) -> float:
-    """``exp(-beta * max(delta, 0))``."""
-    return math.exp(-beta * max(delta, 0.0))
-
-
-def rate(sigma: SpinConfig, zeta: SpinConfig, beta: float) -> float:
-    """Continuous-time jump rate from ``sigma`` to ``zeta``.
-
-    Nonzero only when the two configurations differ at exactly one site.
-    """
-    if sigma.spec != zeta.spec:
-        raise ValueError("configurations live on different lattices")
-    diff = np.flatnonzero(sigma.spins != zeta.spins)
-    if len(diff) != 1:
-        return 0.0
-    i = int(diff[0])
-    return rate_from_delta(flip_delta(sigma, i, int(zeta.spins[i])), beta)
-
-
-def discrete_kernel(sigma: SpinConfig, beta: float) -> dict:
-    """One-step jump probabilities of the discrete-time chain.
-
-    Keys are ``(site_index, new_spin)`` for every single-site update that
-    changes the configuration, each with probability
-    ``(q n)^{-1} exp(-beta [dH]_+)``; key ``None`` holds the remaining
-    (holding) probability.  The values sum to 1.
-    """
-    spec = sigma.spec
-    n, q = spec.n_sites, spec.q
-    probs: dict = {}
-    total = 0.0
-    for i in range(n):
-        old = int(sigma.spins[i])
-        for a in range(1, q + 1):
-            if a == old:
-                continue
-            p = rate_from_delta(flip_delta(sigma, i, a), beta) / (q * n)
-            probs[(i, a)] = p
-            total += p
-    probs[None] = 1.0 - total
-    return probs
-
-
-def gibbs(sigma: SpinConfig, beta: float) -> float:
-    """Unnormalized Gibbs weight ``exp(-beta H(sigma))``."""
-    return math.exp(-beta * energy(sigma))
-
-
-def partition_function(space, beta: float) -> float:
-    """``Z = sum exp(-beta H)`` over an enumerated space.
-
-    ``space`` is anything exposing an integer ``energies`` array.  The sum
-    is shifted by the least energy ``E0``,
-    ``Z = exp(-beta E0) * sum exp(-beta (H - E0))``: every term is at most 1,
-    so none overflows, the ground states contribute exactly 1 each, and for
-    ``E0 = 0`` this is the plain sum term for term.
-    """
-    E = np.asarray(space.energies, dtype=np.float64)
-    E0 = E.min()
-    return float(math.exp(-beta * E0) * np.exp(-beta * (E - E0)).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,10 @@ from .lattice import Lattice2D, LatticeSpec, PERIODIC, Site, SpinConfig, axis_im
 
 __all__ = [
     "energy",
-    "energy2d",
     "decompose",
     "flip_delta",
     "PillarStats",
     "pillar_stats",
-    "spin_count",
     "pillar_lower_bound",
     "BridgeStats",
     "bridge_stats",
@@ -41,12 +39,6 @@ def energy(sigma: SpinConfig) -> int:
     bonds = sigma.spec.bonds
     s = sigma.spins
     return int(np.count_nonzero(s[bonds[:, 0]] != s[bonds[:, 1]])) if len(bonds) else 0
-
-
-def energy2d(eta: SpinConfig) -> int:
-    if not isinstance(eta.spec, Lattice2D):
-        raise TypeError("energy2d expects a 2D configuration")
-    return energy(eta)
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +108,6 @@ def pillar_stats(sigma: SpinConfig) -> PillarStats:
     for v in vals:
         counts[int(v)] += 1
     return PillarStats(d_a=counts, d=int(mono.sum()))
-
-
-def spin_count(sigma: SpinConfig, a: int) -> int:
-    """Number of sites of ``sigma`` carrying spin ``a``."""
-    if not 1 <= a <= sigma.spec.q:
-        raise ValueError(f"spin {a} out of range")
-    return int(np.count_nonzero(sigma.spins == a))
 
 
 def pillar_lower_bound(sigma: SpinConfig) -> int:

@@ -131,13 +131,6 @@ class _Grid:
     def neighbor_lists(self) -> tuple:
         return _grid_neighbors(self.dims, self.boundary)
 
-    def neighbors(self, index: int) -> list[int]:
-        """Linear indices of the sites adjacent to ``index``."""
-        i = int(index)
-        if not 0 <= i < self.n_sites:
-            raise ValueError(f"linear index {i} out of range")
-        return [int(j) for j in self.neighbor_lists[i]]
-
     def unit_translations(self) -> list[np.ndarray]:
         """One unit shift per axis on a torus, none on a box: site
         permutations in the :func:`axis_images` convention that generate
@@ -182,27 +175,9 @@ class LatticeSpec(_Grid):
         self._check_site(site)
         return (site.k - 1) + self.K * (site.l - 1) + self.K * self.L * (site.m - 1)
 
-    def site_at(self, index: int) -> "Site":
-        if not 0 <= index < self.n_sites:
-            raise ValueError(f"linear index {index} out of range")
-        k = index % self.K
-        l = (index // self.K) % self.L
-        m = index // (self.K * self.L)
-        return Site(k + 1, l + 1, m + 1)
-
     def _check_site(self, site: "Site") -> None:
         if not (1 <= site.k <= self.K and 1 <= site.l <= self.L and 1 <= site.m <= self.M):
             raise ValueError(f"site {site} out of range for {self.dims}")
-
-    def neighbors(self, site: "Site | int") -> list:
-        """Sites at Euclidean distance 1 from ``site`` (wrap iff periodic).
-
-        Accepts a :class:`Site` (returns sites) or a linear index
-        (returns linear indices).
-        """
-        if isinstance(site, Site):
-            return [self.site_at(j) for j in super().neighbors(self.site_index(site))]
-        return super().neighbors(site)
 
     # -- derived lower-dimensional specs -----------------------------------
 
@@ -288,10 +263,6 @@ def axis_images(shape: tuple[int, ...]) -> MappingProxyType:
         perm.setflags(write=False)
         images[label] = perm
     return MappingProxyType(images)
-
-
-#: ``SpinConfig.permute`` swap name -> (axis-permutation label, requirement)
-_SWAPS = {"12": ("021", "K = L"), "23": ("102", "L = M"), "13": ("210", "K = M")}
 
 
 class SpinConfig:
@@ -407,29 +378,6 @@ class SpinConfig:
             for k in range(1, spec.K + 1)
         ]
 
-    @staticmethod
-    def from_floors(spec: LatticeSpec, floors) -> "SpinConfig":
-        """Reassemble a 3D configuration from its M floors (bottom-up)."""
-        floors = list(floors)
-        if len(floors) != spec.M:
-            raise ValueError(f"expected {spec.M} floors, got {len(floors)}")
-        arr = np.stack([np.asarray(f.spins).reshape(spec.L, spec.K) for f in floors])
-        return SpinConfig(spec, arr.ravel())
-
-    @staticmethod
-    def from_pillars(spec: LatticeSpec, pillars) -> "SpinConfig":
-        """Reassemble from the K*L pillars in linear ``(k, l)`` order."""
-        pillars = list(pillars)
-        if len(pillars) != spec.K * spec.L:
-            raise ValueError(f"expected {spec.K * spec.L} pillars")
-        arr = np.empty((spec.M, spec.L, spec.K), dtype=np.int16)
-        idx = 0
-        for l in range(spec.L):
-            for k in range(spec.K):
-                arr[:, l, k] = np.asarray(pillars[idx].spins)
-                idx += 1
-        return SpinConfig(spec, arr.ravel())
-
     # -- symmetry ----------------------------------------------------------
 
     def transpose(self, label: str) -> "SpinConfig":
@@ -448,19 +396,6 @@ class SpinConfig:
         spins = self.spins[axis_images(shape)[label]]
         spins.setflags(write=False)
         return SpinConfig._trusted(self.spec, spins)
-
-    def permute(self, swap: str) -> "SpinConfig":
-        """Axis-swap image; ``swap`` in {"12", "23", "13"}.
-
-        Allowed only when the two swapped extents are equal (the swap is
-        then an energy-preserving involution).
-        """
-        if swap not in _SWAPS:
-            raise ValueError(f"unknown swap {swap!r}")
-        label, needs = _SWAPS[swap]
-        if label not in axis_permutations(self.array3d.shape):
-            raise ValueError(f"axis swap {swap} requires {needs}")
-        return self.transpose(label)
 
     def upsilon_orbit(self) -> set["SpinConfig"]:
         """Closure of ``{self}`` under all allowed axis swaps.

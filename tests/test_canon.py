@@ -18,14 +18,13 @@ from spinscape.canon import (
     generate_gateways,
     is_canonical,
     mk_mK,
-    n_window_bounds,
     protuberance_2d_codes,
     regular_2d_codes,
     xi_plain,
     xi_side,
     zeta_2d_codes,
 )
-from spinscape.energy import energy, energy2d
+from spinscape.energy import energy
 from spinscape.lattice import (Lattice2D, LatticeSpec, SpinConfig, axis_permutations,
                                monochrome)
 
@@ -42,10 +41,6 @@ class TestThresholds:
         for K in range(1, 2000):
             t = mk_mK(K)
             assert t**3 <= K * K < (t + 1) ** 3
-
-    def test_window_bounds(self):
-        lo, hi = n_window_bounds(2829)
-        assert lo == 53 and hi == 200 and lo <= hi
 
 
 class TestArcs:
@@ -75,12 +70,12 @@ class TestFloorFamilies:
 
     def test_band_energy(self):
         for v in range(1, self.spec2d.L):
-            assert energy2d(xi_plain(self.spec2d, 1, 2, 1, v)) == 2 * self.spec2d.K
+            assert energy(xi_plain(self.spec2d, 1, 2, 1, v)) == 2 * self.spec2d.K
 
     def test_protuberance_energy(self):
         for v in range(1, self.spec2d.L - 1):
             eta = xi_side(self.spec2d, 1, 2, 1, v, 2, 1, "plus")
-            assert energy2d(eta) == 2 * self.spec2d.K + 2
+            assert energy(eta) == 2 * self.spec2d.K + 2
 
     def test_xi_side_refuses_unknown_side(self):
         with pytest.raises(ValueError, match="side"):
@@ -99,7 +94,7 @@ class TestFloorFamilies:
         zc = zeta_2d_codes(self.spec2d, 1, 2)
         assert len(zc) > 0
         for c in list(zc)[:50]:
-            assert energy2d(SpinConfig.from_code(self.spec2d, c)) == 8
+            assert energy(SpinConfig.from_code(self.spec2d, c)) == 8
 
     def test_gateway_types_partition(self):
         types = gateway_2d_types(self.spec2d, 1, 2)

@@ -1,4 +1,4 @@
-"""Dynamics: rates, kernel normalization, detailed balance, simulation."""
+"""Dynamics: rates, the stationary law, detailed balance, simulation."""
 
 import math
 import tracemalloc
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinscape import dynamics as dy
+from spinscape import potential as pt
 from spinscape.energy import energy, flip_delta
 from spinscape.lattice import LatticeSpec, SpinConfig, is_ground, monochrome
 
@@ -21,19 +22,39 @@ def random_config(spec, seed):
 SPEC = LatticeSpec(2, 2, 3, 2, "open")
 
 
+def _rates_and_deltas(c, beta):
+    """The n-fold-way table's rates and the flip deltas, both ``(n, q)``
+    with column ``a - 1`` for the move to spin ``a``."""
+    q = c.spec.q
+    D = np.array([[flip_delta(c, i, a) if a != c.spins[i] else 0 for a in range(1, q + 1)]
+                  for i in range(c.spec.n_sites)])
+    return dy._RateTable(c, beta).rates, D
+
+
 class TestRates:
+    """The continuous-time Metropolis rates as the event engine holds them."""
+
     def test_downhill_rate_one(self):
-        assert dy.rate_from_delta(-3, 2.0) == 1.0
-        assert dy.rate_from_delta(0, 2.0) == 1.0
+        c = random_config(SPEC, 1)
+        rates, D = _rates_and_deltas(c, 2.0)
+        moves = np.arange(SPEC.q) + 1 != c.spins[:, None]
+        assert np.any(moves & (D <= 0))
+        assert np.all(rates[moves & (D <= 0)] == 1.0)
 
     def test_uphill_rate(self):
-        assert dy.rate_from_delta(2, 1.5) == pytest.approx(math.exp(-3.0))
+        c = random_config(SPEC, 2)
+        rates, D = _rates_and_deltas(c, 1.5)
+        up = D > 0
+        assert np.any(up)
+        assert np.allclose(rates[up], np.exp(-1.5 * D[up]), rtol=1e-15, atol=0)
 
     def test_rate_zero_unless_single_flip(self):
-        c = monochrome(SPEC, 1)
-        two = c.flip_index(0, 2).flip_index(1, 2)
-        assert dy.rate(c, two, 1.0) == 0.0
-        assert dy.rate(c, c, 1.0) == 0.0
+        # the table holds the single flips only; the entry of a site's own
+        # spin is the non-move, at rate 0
+        c = random_config(SPEC, 3)
+        rates, _ = _rates_and_deltas(c, 1.0)
+        assert rates.shape == (SPEC.n_sites, SPEC.q)
+        assert np.all(rates[np.arange(SPEC.n_sites), c.spins - 1] == 0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6), beta=st.floats(0.1, 5.0))
@@ -45,55 +66,35 @@ class TestRates:
         if a == int(c.spins[i]):
             return
         z = c.flip_index(i, a)
-        lhs = dy.gibbs(c, beta) * dy.rate(c, z, beta)
-        rhs = dy.gibbs(z, beta) * dy.rate(z, c, beta)
+        gc, gz = math.exp(-beta * energy(c)), math.exp(-beta * energy(z))
+        lhs = gc * dy._RateTable(c, beta).rates[i, a - 1]
+        rhs = gz * dy._RateTable(z, beta).rates[i, int(c.spins[i]) - 1]
         assert lhs == pytest.approx(rhs, rel=1e-12)
-        assert lhs == pytest.approx(
-            min(dy.gibbs(c, beta), dy.gibbs(z, beta)), rel=1e-12
-        )
+        assert lhs == pytest.approx(min(gc, gz), rel=1e-12)
 
 
 class TestKernel:
-    def test_normalization_and_values(self):
-        c = random_config(SPEC, 3)
-        beta = 1.7
-        kern = dy.discrete_kernel(c, beta)
-        total = sum(kern.values())
-        assert total == pytest.approx(1.0, abs=1e-12)
-        n, q = SPEC.n_sites, SPEC.q
-        for key, p in kern.items():
-            if key is None:
-                continue
-            i, a = key
-            d = flip_delta(c, i, a)
-            assert p == pytest.approx(
-                math.exp(-beta * max(d, 0)) / (q * n), rel=1e-12
-            )
+    """The stationary law of ``chain_from_space``, the chain the solvers
+    build: ``mu = exp(-beta H) / Z``."""
 
     def test_partition_function_small_beta(self, space_223_open):
-        z = dy.partition_function(space_223_open, 0.0)
-        assert z == space_223_open.n_states
+        mu = pt.chain_from_space(space_223_open, 0.0).mu
+        assert np.all(mu == 1.0 / space_223_open.n_states)
+
+    @staticmethod
+    def _ground_states_hold_the_mass(space, beta):
+        # q = 2 ground states at energy 0 take 1/2 each as beta grows
+        mu = pt.chain_from_space(space, beta).mu
+        assert np.all(np.isfinite(mu)) and mu.sum() == pytest.approx(1.0, abs=1e-12)
+        for g in space.ground_states().values():
+            assert mu[g] == pytest.approx(0.5, abs=1e-10)
 
     def test_partition_function_large_beta(self, space_223_open):
-        # q ground states dominate: Z -> q
-        z = dy.partition_function(space_223_open, 50.0)
-        assert z == pytest.approx(2.0, rel=1e-10)
+        self._ground_states_hold_the_mass(space_223_open, 50.0)
 
     def test_partition_function_log_domain(self, space_223_open):
-        z = dy.partition_function(space_223_open, 1000.0)
-        assert z == pytest.approx(2.0, rel=1e-10)
-
-    def test_partition_function_positive_ground_energy(self):
-        # least energy 5, not 0: Z = 2e^-500 + e^-700 only if the shift is
-        # undone.  Z is ~1e-217, below pytest.approx's default absolute
-        # tolerance, so the relative bound is written out.
-        class Space:
-            energies = np.array([5, 5, 7])
-
-        z = dy.partition_function(Space(), 100.0)
-        want = math.fsum(math.exp(-100.0 * e) for e in (5, 5, 7))
-        assert want > 0
-        assert abs(z - want) <= 1e-12 * want
+        # exp(-1000 H) underflows for every H > 0
+        self._ground_states_hold_the_mass(space_223_open, 1000.0)
 
 
 class TestSimulation:
@@ -163,8 +164,6 @@ class TestSimulation:
 
 class TestEnsemble:
     def test_matches_exact_mean(self, space_223_open):
-        from spinscape import potential as pt
-
         space = space_223_open
         g = space.ground_states()
         mask = np.zeros(space.n_states, bool)
@@ -245,8 +244,6 @@ class TestRenewalLanes:
 
     def test_mean_from_a_state_off_the_centres(self, space_223_open):
         # a start every excursion leaves by a plain jump, not a loop
-        from spinscape import potential as pt
-
         space = space_223_open
         g = space.ground_states()
         mask = np.zeros(space.n_states, bool)
@@ -416,8 +413,6 @@ class TestLoopCompression:
         assert f"the loop at state {g[1]} escapes" in str(err.value)
 
     def test_neighbour_target_mean(self, space_223_open):
-        from spinscape import potential as pt
-
         space = space_223_open
         g = space.ground_states()
         mask = np.zeros(space.n_states, bool)
@@ -430,8 +425,6 @@ class TestLoopCompression:
         assert abs(times.mean() - exact) <= 4 * se
 
     def test_step_counts_match_green_function(self, space_223_open):
-        from spinscape import potential as pt
-
         space = space_223_open
         g = space.ground_states()
         mask = np.zeros(space.n_states, bool)

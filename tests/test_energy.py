@@ -10,11 +10,9 @@ from spinscape.energy import (
     classify_2d_lowenergy,
     decompose,
     energy,
-    energy2d,
     flip_delta,
     pillar_lower_bound,
     pillar_stats,
-    spin_count,
 )
 from spinscape.lattice import Lattice2D, LatticeSpec, SpinConfig, monochrome
 from spinscape.canon import xi_plain, xi_side
@@ -106,11 +104,6 @@ class TestPillars:
         slab = SpinConfig(spec, arr.ravel())
         assert pillar_lower_bound(slab) == energy(slab)
 
-    def test_spin_count(self):
-        spec = LatticeSpec(2, 2, 2, 3, "open")
-        c = monochrome(spec, 2).flip_index(0, 3)
-        assert spin_count(c, 2) == 7 and spin_count(c, 3) == 1 and spin_count(c, 1) == 0
-
 
 class TestBridgesAndClasses:
     def test_bridge_stats(self):
@@ -140,7 +133,7 @@ class TestBridgesAndClasses:
     def test_at_saddle_is_none(self):
         spec2d = Lattice2D(3, 4, 2, "periodic")
         eta = xi_side(spec2d, 1, 2, 1, 1, 1, 1, "plus")
-        assert energy2d(eta) == 2 * spec2d.K + 2
+        assert energy(eta) == 2 * spec2d.K + 2
         assert classify_2d_lowenergy(eta).kind == "none"
 
     def test_trichotomy_exhaustive(self, space_2d_34):
@@ -157,9 +150,7 @@ class TestBridgesAndClasses:
             kinds[res.kind] += 1
             if res.kind == "L3":
                 H = energy(eta)
-                minority = sum(
-                    spin_count(eta, b) for b in range(1, spec2d.q + 1) if b != res.a
-                )
+                minority = np.count_nonzero(eta.spins != res.a)
                 assert minority <= H * H / 16
         assert all(v > 0 for v in kinds.values())
 

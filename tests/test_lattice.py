@@ -85,19 +85,19 @@ class TestNeighbors:
     )
     def test_periodic_degree_constant(self, spec, degree):
         for i in range(spec.n_sites):
-            nb = spec.neighbors(i)
+            nb = spec.neighbor_lists[i]
             assert len(nb) == degree
             assert len(set(nb)) == degree
 
     def test_neighbor_symmetry(self):
         for spec in (LatticeSpec(3, 3, 4, 2, "periodic"), LatticeSpec(2, 3, 4, 2, "open")):
             for i in range(spec.n_sites):
-                for j in spec.neighbors(i):
-                    assert i in spec.neighbors(j)
+                for j in spec.neighbor_lists[i]:
+                    assert i in spec.neighbor_lists[j]
 
     def test_open_corner_degree(self):
         spec = LatticeSpec(2, 2, 2, 2, "open")
-        assert all(len(spec.neighbors(i)) == 3 for i in range(8))
+        assert all(len(nb) == 3 for nb in spec.neighbor_lists)
 
     def test_site_index_k_fastest(self):
         spec = LatticeSpec(3, 4, 5, 2, "periodic")
@@ -105,8 +105,9 @@ class TestNeighbors:
         assert spec.site_index(Site(2, 1, 1)) == 1
         assert spec.site_index(Site(1, 2, 1)) == 3
         assert spec.site_index(Site(1, 1, 2)) == 12
-        for i in range(spec.n_sites):
-            assert spec.site_index(spec.site_at(i)) == i
+        idx = np.arange(spec.n_sites).reshape(spec.M, spec.L, spec.K)
+        for (m, l, k), i in np.ndenumerate(idx):
+            assert spec.site_index(Site(k + 1, l + 1, m + 1)) == i
 
     def test_periodic_wrap_only_for_extent_ge_3(self):
         # extent-2 axes must not get doubled bonds under periodic wrap
@@ -138,8 +139,10 @@ class TestConfig:
     def test_floor_pillar_roundtrip(self):
         spec = LatticeSpec(3, 3, 4, 2, "periodic")
         c = random_config(spec, 2)
-        assert SpinConfig.from_floors(spec, c.floors()) == c
-        assert SpinConfig.from_pillars(spec, c.pillars()) == c
+        arr = c.array3d.reshape(spec.M, spec.L * spec.K)
+        assert np.array_equal([f.spins for f in c.floors()], arr)
+        # pillars in linear (k, l) order: column l*K + k of each floor
+        assert np.array_equal(np.stack([p.spins for p in c.pillars()], axis=1), arr)
 
     def test_is_ground(self):
         spec = LatticeSpec(3, 3, 3, 3, "periodic")
@@ -152,8 +155,8 @@ class TestSymmetries:
     def test_permute_requires_equal_extents(self):
         spec = LatticeSpec(3, 4, 5, 2, "periodic")
         c = random_config(spec, 3)
-        with pytest.raises(ValueError):
-            c.permute("12")
+        with pytest.raises(ValueError, match="not allowed"):
+            c.transpose("021")
 
     def test_axis_permutations(self):
         assert axis_permutations((5, 4, 3)) == ("012",)
@@ -164,7 +167,7 @@ class TestSymmetries:
     def test_transpose_labels(self):
         spec = LatticeSpec(3, 3, 5, 2, "periodic")
         c = random_config(spec, 8)
-        assert c.transpose("021") == c.permute("12")
+        assert np.array_equal(c.transpose("021").array3d, c.array3d.transpose(0, 2, 1))
         with pytest.raises(ValueError, match="not allowed"):
             c.transpose("102")
         with pytest.raises(ValueError, match="bad orientation"):
@@ -196,7 +199,7 @@ class TestSymmetries:
     def test_permute_involution(self):
         spec = LatticeSpec(3, 3, 5, 2, "periodic")
         c = random_config(spec, 4)
-        assert c.permute("12").permute("12") == c
+        assert c.transpose("021").transpose("021") == c
 
     @pytest.mark.parametrize(
         "dims,expected_max",

@@ -145,7 +145,7 @@ class TestSolverRefusals:
             pt.mean_hitting_exact(space_223_open, g[1], [g[2]], 12.0, "direct")
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 3: the direct route's dense factorization succeeds at "
+        "ROADMAP item 7: the direct route's dense factorization succeeds at "
         "beta=20 but returns 1.207e43 against the capacity route's 3.360e42"))
     def test_direct_route_agrees_at_beta20(self, space_222_open):
         g = space_222_open.ground_states()
@@ -326,6 +326,14 @@ class TestSpectralGap:
         with pytest.raises(ValueError):
             pt.spectral_gap(space, 1.0)
 
+    def test_variational_gap_on_262144_states(self, space_233_open):
+        # no state limit: the variational gap solves on the symmetry
+        # quotient, and lambda * E_g1[tau_g2] -> 2 for two ground states
+        g = space_233_open.ground_states()
+        lam = pt.spectral_gap(space_233_open, 4.0, method="variational")
+        m = pt.mean_hitting_exact(space_233_open, g[1], [g[2]], 4.0)
+        assert abs(lam * m - 2.0) < 1e-6
+
     @pytest.mark.parametrize("beta, method", [(0.5, "auto"), (3.0, "dense")])
     def test_dense_refused_over_one_gib(self, space_224_open, beta, method):
         # three 65,536^2 float64 arrays would take 34 GB each; the refusal
@@ -344,25 +352,36 @@ class TestAuxChain:
     def test_uniform_reversibility(self, space_224_open):
         ts = typical_sets(space_224_open, A=(1,), B=(2,))
         aux = pt.build_aux_chain(ts)
-        assert aux.flux_balance_exact()
         assert aux.n == int(ts.O_A.sum()) + len(ts.Ibar_A)
         assert (aux.rates >= 1).all()
+        assert np.all(aux.as_chain().mu == 1.0 / aux.n)
 
     def test_rate_counts(self, space_224_open):
-        # O-to-class rates equal adjacency counts into the class
+        # every rate recomputed from the move table: 1 between adjacent
+        # at-ceiling ("O") states, and between an O state and a class the
+        # number of the class's members adjacent to it; each vertex pair is
+        # one edge, and each O state's rates add up to its moves into the chain
         ts = typical_sets(space_224_open, A=(1,), B=(2,))
         aux = pt.build_aux_chain(ts)
         mt = space_224_open.move_table()
-        for e in range(min(30, len(aux.src))):
-            i, j = int(aux.src[e]), int(aux.dst[e])
-            ki, kj = aux.kind[i], aux.kind[j]
-            if {ki, kj} == {"O", "I"}:
-                o, r = (i, j) if ki == "O" else (j, i)
-                o_state = aux.vertex_state[o]
-                rep = aux.vertex_state[r]
-                members = [s for s, rr in ts.class_rep_A.items() if rr == rep]
-                count = sum(int(t) in members for t in mt[o_state])
-                assert count == int(aux.rates[e])
+        vertex = np.full(space_224_open.n_states, -1)
+        vertex[aux.vertex_state] = np.arange(aux.n)
+        for s, rep in ts.class_rep_A.items():
+            vertex[s] = vertex[rep]
+        pairs = np.sort(np.c_[aux.src, aux.dst], axis=1)
+        assert len(np.unique(pairs, axis=0)) == len(pairs)
+        total = np.zeros(aux.n, dtype=np.int64)
+        for i, j, r in zip(aux.src, aux.dst, aux.rates):
+            if aux.kind[i] != "O":
+                i, j = j, i
+            assert aux.kind[i] == "O"
+            near = vertex[mt[aux.vertex_state[i]]]
+            assert r == (1 if aux.kind[j] == "O" else np.count_nonzero(near == j))
+            assert j in near
+            total[[i, j]] += r
+        for v in range(aux.n):
+            if aux.kind[v] == "O":
+                assert total[v] == np.count_nonzero(vertex[mt[aux.vertex_state[v]]] >= 0)
 
     def test_degenerate_window_raises(self, space_224_open):
         ts = typical_sets(space_224_open, A=(1,), B=(2,))
@@ -421,7 +440,7 @@ class TestFlows:
         assert 1.0 / np.sum(1.0 / c_path) <= current["cap"]
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 3: near P the componentwise stopping test accepts "
+        "ROADMAP item 2: near P the componentwise stopping test accepts "
         "residuals that are large at the capacity scale; the net outflow "
         "from g1 is 1 + 3.7e-3 at beta=10"))
     def test_unit_current_conserved_at_beta10(self, space_224_open):
@@ -749,6 +768,17 @@ class TestTestFunction:
         diag = pt.h1_diagnostics(space_224_open, h, 3.0, [g[1]], [g[2]])
         assert diag["dirichlet_principle_holds"]
         assert diag["defect_rel_err"] < 1e-8
+
+    def test_solver_errors_propagate(self, built, space_224_open, monkeypatch):
+        # only a degenerate window (ValueError) falls back to constant 1
+        ts, bundle, _, _ = built
+
+        def failing_solve(tsx):
+            raise RuntimeError("CG did not converge")
+
+        monkeypatch.setattr(pt, "build_aux_chain", failing_solve)
+        with pytest.raises(RuntimeError, match="CG did not converge"):
+            pt.test_function(space_224_open, ts, ts, bundle, beta=3.0)
 
     def test_h1_diagnostics_report_the_current(self, space_223_open):
         # the conservation checks read the exact potential's current,
