@@ -28,13 +28,12 @@ def main() -> None:
     print("\n== auxiliary chain on the largest enumerable instance ==")
     space = enumerate_space(LatticeSpec(2, 2, 4, 2, "open"))
     ts = typical_sets(space, A=(1,), B=(2,))
-    aux = pt.build_aux_chain(ts)
+    _, aux = pt.build_aux_chain(ts)
     print(f"  {aux.n} vertices, {len(aux.src)} edges")
     for w in ts.warnings:
         print(f"  warning: {w}")
-    s_v, t_v = pt.aux_ground_and_window_vertices(ts, aux)
     try:
-        pt.aux_capacity(aux, s_v, t_v)
+        pt.e_constant(ts)
     except ValueError as exc:
         print(f"  aux capacity refused: {exc}")
 

@@ -24,8 +24,8 @@ def main() -> None:
     for beta in (2.0, 3.0, 4.0):
         ch = pt.chain_from_space(space, beta)
         cap = pt.capacity(ch, [g[1]], [g[2]])
-        m_cap = pt.mean_hitting_exact(space, g[1], [g[2]], beta, "capacity")
-        m_dir = pt.mean_hitting_exact(space, g[1], [g[2]], beta, "direct")
+        m_cap = pt.mean_hitting_exact(ch, g[1], [g[2]], "capacity")
+        m_dir = pt.mean_hitting_exact(ch, g[1], [g[2]], "direct")
         print(
             f"  beta={beta}: cap = {cap:.6e},"
             f" E[tau] = {m_cap:.6e} (capacity) vs {m_dir:.6e} (direct),"
@@ -35,7 +35,7 @@ def main() -> None:
     print("\n== the barrier read off the dynamics ==")
     betas = np.array([3.0, 4.0, 5.0, 6.0])
     log_means = [
-        math.log(pt.mean_hitting_exact(space, g[1], [g[2]], b)) for b in betas
+        math.log(pt.mean_hitting_exact(pt.chain_from_space(space, b), g[1], [g[2]])) for b in betas
     ]
     neg_log_gap = [
         -math.log(pt.spectral_gap(space, b, method="variational")) for b in betas

@@ -258,7 +258,7 @@ def cmd_simulate(cfg: dict) -> int:
         for j in range(n_samples):
             rows.append((seed + bi, beta, lattice_str, times[j], int(steps[j])))
         exact = potential.mean_hitting_exact(
-            space, start, np.flatnonzero(target_mask), beta
+            potential.chain_from_space(space, beta), start, np.flatnonzero(target_mask)
         )
         se = float(times.std(ddof=1) / math.sqrt(n_samples))
         summaries[str(beta)] = {
@@ -362,12 +362,10 @@ def cmd_kappa(cfg: dict) -> int:
         try:
             space = enumerate_space(spec, limit=cfg["limit_states"])
             ts = typical_sets(space, A=(1,), B=tuple(range(2, spec.q + 1)))
-            aux = potential.build_aux_chain(ts)
-            s_v, t_v = potential.aux_ground_and_window_vertices(ts, aux)
-            e1 = potential.e_constant(aux, s_v, t_v)
+            e1 = potential.e_constant(ts)
             e_values = {n: e1 for n in range(1, spec.q)}
             window_note = "auxiliary-chain capacity"
-        except Exception as err:
+        except ValueError as err:  # the state budget or a degenerate window
             window_note = f"fallback ({err})"
     bundle = potential.constants(spec, e_values=e_values)
     report["constants"] = {

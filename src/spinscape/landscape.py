@@ -315,8 +315,9 @@ def comm_height(space: StateSpace | Quotient, source, target, avoid=None):
 
     ``source`` and ``target`` are state indices or iterables of indices
     (multi-source/multi-target).  ``avoid`` is an optional forbidden set of
-    state indices (as an iterable or boolean mask); returns ``None`` when
-    the endpoints are disconnected under the restriction.
+    state indices (an iterable, or a boolean mask of shape ``(n_states,)``;
+    a mask of any other shape raises ``ValueError``); returns ``None``
+    when the endpoints are disconnected under the restriction.
     """
     src = _state_indices(space, source, "source")
     dst = _state_indices(space, target, "target")
@@ -343,6 +344,8 @@ def _as_mask(n: int, subset) -> np.ndarray | None:
         return None
     arr = np.asarray(subset)
     if arr.dtype == bool:
+        if arr.shape != (n,):
+            raise ValueError(f"a boolean avoid mask must have shape ({n},), got shape {arr.shape}")
         return arr
     mask = np.zeros(n, dtype=bool)
     if arr.size:
@@ -377,8 +380,9 @@ def neighborhood(space: StateSpace | Quotient, roots, ceiling: int, avoid=None) 
     """Flood fill under an energy ceiling.
 
     Roots with energy above the ceiling contribute nothing (a root above
-    the ceiling alone yields the empty set).  States in ``avoid`` are never
-    entered; roots inside ``avoid`` are rejected.
+    the ceiling alone yields the empty set).  States in ``avoid`` (given as
+    to :func:`comm_height`) are never entered; roots inside ``avoid`` are
+    rejected.
     """
     roots = _state_indices(space, roots, "root")
     blocked = _as_mask(space.n_states, avoid)

@@ -1,10 +1,13 @@
 """Exact potential theory on enumerated spaces.
 
+One chain record, :class:`WeightedChain`, is the input of every solve:
 Dirichlet forms, equilibrium potentials (sparse symmetric solves),
-capacities, mean hitting times (two independent routes), spectral gaps,
-harmonic unit currents, the auxiliary uniform-measure chain on
-edge-typical classes with its capacity, the prefactor constants pipeline,
-and the test function with its H1 diagnostics.
+capacities, mean hitting times (two independent routes) and harmonic unit
+currents.  :func:`chain_from_space` builds the Metropolis chain of an
+enumerated space or a quotient, and :func:`build_aux_chain` the uniform
+auxiliary chain on the edge-typical classes, whose capacity gives the edge
+constant.  Also here: spectral gaps, the prefactor constants pipeline, and
+the test function with its H1 diagnostics.
 """
 
 from __future__ import annotations
@@ -33,9 +36,7 @@ __all__ = [
     "unit_current",
     "mean_hitting_exact",
     "spectral_gap",
-    "AuxChain",
     "build_aux_chain",
-    "aux_capacity",
     "e_constant",
     "ConstantsBundle",
     "kappa2d_stand_in",
@@ -209,12 +210,9 @@ def chain_from_space(space: StateSpace | Quotient, beta: float) -> WeightedChain
 # Dirichlet forms
 # ---------------------------------------------------------------------------
 
-def dirichlet(space_or_chain, f: np.ndarray, beta: float | None = None) -> float:
-    """``(1/2) sum mu r (f(x) - f(y))^2`` over ordered state pairs.
-
-    Accepts an enumerated space plus ``beta``, or a prebuilt chain.
-    """
-    return dirichlet_bilinear(_as_chain(space_or_chain, beta), f, f)
+def dirichlet(chain: WeightedChain, f: np.ndarray) -> float:
+    """``(1/2) sum mu r (f(x) - f(y))^2`` over ordered state pairs."""
+    return dirichlet_bilinear(chain, f, f)
 
 
 def dirichlet_bilinear(chain: WeightedChain, f: np.ndarray, g: np.ndarray) -> float:
@@ -223,19 +221,10 @@ def dirichlet_bilinear(chain: WeightedChain, f: np.ndarray, g: np.ndarray) -> fl
     return float(np.sum(chain.cond * df * dg))
 
 
-def dirichlet_generator(space_or_chain, f: np.ndarray, beta: float | None = None) -> float:
+def dirichlet_generator(chain: WeightedChain, f: np.ndarray) -> float:
     """The alternative expression ``<f, -L_gen f>_mu`` (same value as
     :func:`dirichlet` up to round-off; evaluated literally)."""
-    chain = _as_chain(space_or_chain, beta)
     return float(np.sum(chain.mu * f * (-chain.generator_apply(f))))
-
-
-def _as_chain(space_or_chain, beta) -> WeightedChain:
-    if isinstance(space_or_chain, WeightedChain):
-        return space_or_chain
-    if beta is None:
-        raise ValueError("beta required when passing a state space")
-    return chain_from_space(space_or_chain, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +376,7 @@ def _symmetry_lumping_for(chain: WeightedChain, P, Q):
     return lumping
 
 
-def equilibrium_potential(space_or_chain, P, Q, beta: float | None = None) -> np.ndarray:
+def equilibrium_potential(chain: WeightedChain, P, Q) -> np.ndarray:
     """``h(x) = P_x[hit P before Q]``: harmonic off ``P | Q`` with boundary
     values 1 on ``P`` and 0 on ``Q``.
 
@@ -397,7 +386,6 @@ def equilibrium_potential(space_or_chain, P, Q, beta: float | None = None) -> np
     solved on the lumped chain (:attr:`WeightedChain.symmetry_lumping`)
     and spread back to the states.  Any other problem is solved on the
     chain's states."""
-    chain = _as_chain(space_or_chain, beta)
     lumping = _symmetry_lumping_for(chain, P, Q)
     if lumping is None:
         h = _solve_dirichlet_problem(chain, P, Q)
@@ -415,9 +403,8 @@ def potential_classes(chain: WeightedChain, P, Q) -> int:
     return chain.n if lumping is None else lumping[1].n
 
 
-def capacity(space_or_chain, P, Q, beta: float | None = None) -> float:
+def capacity(chain: WeightedChain, P, Q) -> float:
     """Dirichlet form of the equilibrium potential between ``P`` and ``Q``."""
-    chain = _as_chain(space_or_chain, beta)
     h = equilibrium_potential(chain, P, Q)
     return dirichlet(chain, h)
 
@@ -431,9 +418,7 @@ def unit_current(chain: WeightedChain, h: np.ndarray) -> np.ndarray:
     return chain.cond * (h[chain.src] - h[chain.dst]) / dirichlet(chain, h)
 
 
-def mean_hitting_exact(
-    space_or_chain, s: int, target, beta: float | None = None, method: str = "capacity"
-) -> float:
+def mean_hitting_exact(chain: WeightedChain, s: int, target, method: str = "capacity") -> float:
     """Expected hitting time of ``target`` from state ``s``.
 
     ``method="capacity"``: ``(1/Cap) * sum_x mu(x) h(x)`` with ``h`` the
@@ -445,7 +430,6 @@ def mean_hitting_exact(
     fails up to 1,000 unknowns, and above that conjugate gradients do not
     converge.
     """
-    chain = _as_chain(space_or_chain, beta)
     target = np.atleast_1d(np.asarray(target, dtype=np.int64))
     if method == "capacity":
         h = equilibrium_potential(chain, [s], target)
@@ -477,18 +461,21 @@ def spectral_gap(space: StateSpace, beta: float, method: str = "auto") -> float:
     nonnegative sums and stay relatively accurate long after dense
     eigenvalues drown in round-off.  ``"auto"`` picks dense only when the
     eigenvalue is safely above the dense round-off floor.  Dense is refused
-    when its three float64 ``n x n`` arrays would exceed 1 GiB."""
+    when its two float64 ``n x n`` arrays, the Laplacian scaled in place
+    and the eigensolver's working copy, would exceed 1 GiB."""
     n = space.n_states
     if method == "auto":
         method = "dense" if beta * int(space.energies.max()) <= 25 else "variational"
-    if method == "dense" and 24 * n ** 2 > 2 ** 30:  # L, a division temporary and S
-        raise ValueError(f"the dense spectral gap on {n} states needs {24 * n ** 2} bytes, "
+    if method == "dense" and 16 * n ** 2 > 2 ** 30:
+        raise ValueError(f"the dense spectral gap on {n} states needs {16 * n ** 2} bytes, "
                          f"over {2 ** 30}; use method='variational'")
     chain = chain_from_space(space, beta)
     if method == "dense":
-        W = chain.mu
-        L = chain.laplacian().toarray()
-        S = L / np.sqrt(W)[:, None] / np.sqrt(W)[None, :]
+        # S = W^-1/2 L W^-1/2, overwriting L
+        S = chain.laplacian().toarray()
+        s = np.sqrt(chain.mu)
+        S /= s[:, None]
+        S /= s[None, :]
         vals = np.linalg.eigvalsh(S)
         return float(vals[1])
     if method == "variational":
@@ -517,101 +504,58 @@ def spectral_gap(space: StateSpace, beta: float, method: str = "auto") -> float:
 # Auxiliary chain on edge-typical classes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AuxChain:
-    """Finite reversible chain with uniform invariant measure.
+def build_aux_chain(ts: TypicalSets) -> tuple[np.ndarray, WeightedChain]:
+    """The edge-typical auxiliary chain as ``(labels, chain)``, the pair
+    :attr:`WeightedChain.symmetry_lumping` returns.
 
-    Vertices are at-ceiling states plus one representative per sub-ceiling
-    class; integer rates follow the adjacency-count table.  ``vertex_state``
-    maps chain vertex -> underlying state index; ``kind`` is "O" (at
-    ceiling) or "I" (class rep).
+    The vertices are the at-ceiling states of the A-edge set in increasing
+    order, then its sub-ceiling classes in ``ts.Ibar_A`` order; ``labels``
+    gives each state's vertex, -1 off the A-edge set.  ``chain`` is the unit
+    graph of the A-edge set lumped by ``labels``, with the uniform measure
+    and conductance ``rate / n`` on ``n`` vertices: the rate is 1 between
+    adjacent at-ceiling states and, between an at-ceiling state and a class,
+    the number of the class's members adjacent to it.  Adjacent sub-ceiling
+    states share their class, so every edge has an at-ceiling end and is
+    counted from the at-ceiling rows of the move table, an at-ceiling pair
+    from its lower end.
     """
-
-    n: int
-    src: np.ndarray
-    dst: np.ndarray
-    rates: np.ndarray
-    vertex_state: list
-    kind: list
-
-    def as_chain(self) -> WeightedChain:
-        mu = np.full(self.n, 1.0 / self.n)
-        cond = self.rates.astype(np.float64) / self.n
-        return WeightedChain(n=self.n, src=self.src, dst=self.dst, cond=cond, mu=mu)
-
-
-def build_aux_chain(ts: TypicalSets) -> AuxChain:
-    """Materialize the edge-typical auxiliary chain from the typical sets.
-
-    Vertices: the at-ceiling part of the A-edge set plus one representative
-    per sub-ceiling class.  Rates: 1 between adjacent at-ceiling states;
-    between an at-ceiling state and a class, the number of class members
-    adjacent to it (symmetric in both directions, so the uniform measure is
-    exactly invariant).
-    """
-    space = ts.space
-    O_states = sorted(int(x) for x in np.flatnonzero(ts.O_A))
-    reps = [int(x) for x in ts.Ibar_A]
-    vertex_state = O_states + reps
-    kind = ["O"] * len(O_states) + ["I"] * len(reps)
-    vpos = {s: i for i, s in enumerate(O_states)}
-    rpos = {r: len(O_states) + i for i, r in enumerate(reps)}
-
-    mt = space.move_table()
-    edges: dict[tuple[int, int], int] = {}
-    O_mask = ts.O_A
-    for s in O_states:
-        for t in mt[s]:
-            t = int(t)
-            if O_mask[t] and t > s:
-                edges[(vpos[s], vpos[t])] = 1
-            elif t in ts.class_rep_A:
-                rep = ts.class_rep_A[t]
-                key = (vpos[s], rpos[rep])
-                edges[key] = edges.get(key, 0) + 1
-    src = np.array([k[0] for k in edges], dtype=np.int64)
-    dst = np.array([k[1] for k in edges], dtype=np.int64)
-    rates = np.array(list(edges.values()), dtype=np.int64)
-    return AuxChain(n=len(vertex_state), src=src, dst=dst, rates=rates,
-                    vertex_state=vertex_state, kind=kind)
+    O_states = np.flatnonzero(ts.O_A)
+    n_O = len(O_states)
+    n = n_O + len(ts.Ibar_A)
+    labels = np.full(ts.space.n_states, -1, dtype=np.int64)
+    labels[O_states] = np.arange(n_O)
+    members = np.fromiter(ts.class_rep_A, dtype=np.int64, count=len(ts.class_rep_A))
+    reps = np.fromiter(ts.class_rep_A.values(), dtype=np.int64, count=len(members))
+    labels[members] = n_O + np.searchsorted(ts.Ibar_A, reps)
+    to = labels[ts.space.move_table()[O_states]]
+    up = to > np.arange(n_O)[:, None]  # a class, or an at-ceiling state above
+    frm = np.repeat(np.arange(n_O), np.count_nonzero(up, axis=1))
+    c = sp.csr_matrix((np.ones(len(frm)), (frm, to[up])), shape=(n, n)).tocoo()  # counted per pair
+    return labels, WeightedChain(n=n, src=c.row, dst=c.col, cond=c.data / n,
+                                 mu=np.full(n, 1.0 / n))
 
 
-def aux_ground_and_window_vertices(ts: TypicalSets, aux: AuxChain):
-    """Chain-vertex indices of the A-ground classes and of the classes
-    meeting the slab family at height ``m_K``."""
-    space = ts.space
-    grounds = space.ground_states()
-    S_A = [grounds[a] for a in ts.A]
-    src_vertices = set()
-    for s in S_A:
-        rep = ts.class_rep_A.get(int(s))
-        if rep is not None:
-            src_vertices.add(aux.vertex_state.index(rep))
-    window_states = ts.R.get(ts.m_K, np.empty(0, dtype=np.int64))
-    tgt_vertices = set()
-    for s in window_states:
-        rep = ts.class_rep_A.get(int(s))
-        if rep is not None:
-            tgt_vertices.add(aux.vertex_state.index(rep))
-    return sorted(src_vertices), sorted(tgt_vertices)
+def aux_ground_and_window_vertices(ts: TypicalSets, labels: np.ndarray):
+    """Vertices of the auxiliary chain (``labels`` of
+    :func:`build_aux_chain`) of the A-ground classes and of the classes
+    meeting the slab family at height ``m_K``, each sorted.
+
+    Raises ``ValueError`` on a degenerate window: either set empty, or the
+    two sharing a class."""
+    grounds = ts.space.ground_states()
+    S_A = np.array([grounds[a] for a in ts.A], dtype=np.int64)
+    window = ts.R.get(ts.m_K, np.empty(0, dtype=np.int64))
+    src, tgt = (np.unique(labels[s[ts.I_A[s]]]) for s in (S_A, window))
+    if not len(src) or not len(tgt) or len(np.intersect1d(src, tgt)):
+        raise ValueError("degenerate window on the auxiliary chain")
+    return src, tgt
 
 
-def aux_capacity(aux: AuxChain, sources, targets) -> float:
-    sources = list(sources)
-    targets = list(targets)
-    if not sources or not targets:
-        raise ValueError("empty boundary set on the auxiliary chain")
-    if set(sources) & set(targets):
-        raise ValueError(
-            "degenerate window: source and target classes coincide on the "
-            "auxiliary chain; capacity undefined"
-        )
-    return capacity(aux.as_chain(), sources, targets)
-
-
-def e_constant(aux: AuxChain, sources, targets) -> float:
-    """``1 / (|V| * cap)`` for the auxiliary chain."""
-    return 1.0 / (aux.n * aux_capacity(aux, sources, targets))
+def e_constant(ts: TypicalSets) -> float:
+    """The edge constant ``1 / (|V| * cap)`` of the auxiliary chain on
+    ``|V|`` vertices, between its A-ground and window classes."""
+    labels, chain = build_aux_chain(ts)
+    return 1.0 / (chain.n * capacity(chain, *aux_ground_and_window_vertices(ts, labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -646,13 +590,14 @@ def _translation_orbits(space: StateSpace) -> tuple[np.ndarray, int]:
     return space.orbits(space.spec.unit_translations())
 
 
-#: The large stable beta at which :func:`constants` solves the 2D stand-in.
+#: The large stable beta at which :func:`kappa2d_stand_in` solves.
 _BETA_STAR = 4.0
 
 
-def kappa2d_stand_in(spec2d, beta_star: float = _BETA_STAR) -> tuple[float, int]:
+def kappa2d_stand_in(spec2d) -> tuple[float, int]:
     """Numerical 2D prefactor: ``exp(-Gamma2D * beta) * E[hitting time]``
-    between the first two 2D ground states, at a large stable beta.
+    between the first two 2D ground states, at the large stable beta
+    ``_BETA_STAR``.
 
     Returns ``(kappa2d, gamma2d_brute)``.  This is a stand-in for a
     companion-theory constant that has no closed form here; provenance is
@@ -669,10 +614,10 @@ def kappa2d_stand_in(spec2d, beta_star: float = _BETA_STAR) -> tuple[float, int]
     del space2d  # the barrier and the chain need only the quotient
     g = floor.ground_states()
     gamma2d = comm_height(floor, g[1], g[2])
-    chain = chain_from_space(floor, beta_star)
+    chain = chain_from_space(floor, _BETA_STAR)
     del floor  # the solve needs only the chain
     E = mean_hitting_exact(chain, g[1], [g[2]])
-    return float(math.exp(-gamma2d * beta_star) * E), gamma2d
+    return float(math.exp(-gamma2d * _BETA_STAR) * E), gamma2d
 
 
 def _bulk_denominator(K: int, L: int, M: int) -> int:
@@ -763,55 +708,32 @@ def test_function(
 
     h = np.ones(n)
 
-    # auxiliary-chain potentials; a degenerate window (ValueError) falls
-    # back to constant 1 with a warning, and solver errors propagate
-    def aux_potential(tsx: TypicalSets) -> dict:
-        out: dict[int, float] = {}
+    # auxiliary-chain potentials on the states, 1 off the chain's vertices;
+    # a degenerate window (ValueError) falls back to constant 1 with a
+    # warning, and solver errors propagate
+    def aux_potential(tsx: TypicalSets) -> np.ndarray:
         try:
-            aux = build_aux_chain(tsx)
-            s_v, t_v = aux_ground_and_window_vertices(tsx, aux)
-            if set(s_v) & set(t_v) or not s_v or not t_v:
-                raise ValueError("degenerate window on the auxiliary chain")
-            hv = equilibrium_potential(aux.as_chain(), s_v, t_v)
-            for vi, st in enumerate(aux.vertex_state):
-                out[int(st)] = float(hv[vi])
+            labels, chain = build_aux_chain(tsx)
+            hv = equilibrium_potential(chain, *aux_ground_and_window_vertices(tsx, labels))
         except ValueError as err:
-            info.setdefault("warnings", []).append(
-                f"auxiliary potential unavailable ({err}); using constant 1"
-            )
-        return out
+            info["warnings"].append(f"auxiliary potential unavailable ({err}); using constant 1")
+            return np.ones(n)
+        return np.where(labels >= 0, hv[labels], 1.0)
 
-    hA_by_state = aux_potential(ts)
-    hB_by_state = aux_potential(ts_BA)
-
-    def lookup(table: dict, state: int, rep_map: dict) -> float:
-        if state in table:
-            return table[state]
-        rep = rep_map.get(state)
-        if rep is not None and rep in table:
-            return table[rep]
-        return 1.0
-
-    # A-edge formula
-    for s in np.flatnonzero(ts.edge_A):
-        s = int(s)
-        hv = lookup(hA_by_state, s, ts.class_rep_A)
-        h[s] = 1.0 - (eA / c) * (1.0 - hv)
-    # B-edge formula
-    for s in np.flatnonzero(ts.edge_B):
-        s = int(s)
-        hv = lookup(hB_by_state, s, ts_BA.class_rep_A)
-        h[s] = (eB / c) * (1.0 - hv)
+    # the A-edge formula, then the B-edge formula
+    h[ts.edge_A] = 1.0 - (eA / c) * (1.0 - aux_potential(ts)[ts.edge_A])
+    h[ts.edge_B] = (eB / c) * (1.0 - aux_potential(ts_BA)[ts.edge_B])
 
     # 2D floor profile: exact equilibrium potential on the floor lattice
     space2d = enumerate_space(spec.floor_spec())
     g2d = space2d.ground_states()
+    chain2d = chain_from_space(space2d, beta)
     h2d_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def h2d(a: int, b: int, floor_code: int) -> float:
         key = (a, b)
         if key not in h2d_cache:
-            h2d_cache[key] = equilibrium_potential(space2d, [g2d[a]], [g2d[b]], beta)
+            h2d_cache[key] = equilibrium_potential(chain2d, [g2d[a]], [g2d[b]])
         return float(h2d_cache[key][floor_code])
 
     # gateway slices

@@ -212,6 +212,17 @@ class TestCapacityKappaEnumerate:
         assert len(c["non_reproducible"]) == 3
         assert "stand-in" in c["provenance"]["kappa2d"]
 
+    def test_kappa_solver_error_propagates(self, capsys, monkeypatch):
+        # only the state budget and a degenerate window (ValueError) fall back
+        # to the bound; any other error reaches the caller unrelabelled
+        def failing_enumeration(spec, limit):
+            raise RuntimeError("conjugate gradients did not converge")
+
+        monkeypatch.setattr(spinscape.cli, "enumerate_space", failing_enumeration)
+        with pytest.raises(RuntimeError, match="conjugate gradients did not converge"):
+            main(["kappa", "--lattice", "3x3x3", "--boundary", "periodic",
+                  "--limit-states", "134217728"])
+
     def test_enumerate_exports(self, capsys, tmp_path):
         out = str(tmp_path / "sets")
         code = main([

@@ -170,7 +170,7 @@ class TestEnsemble:
         mask[g[2]] = True
         beta = 2.0
         times = dy.sample_hitting_times(space, g[1], mask, beta, 400, seed=9)
-        exact = pt.mean_hitting_exact(space, g[1], [g[2]], beta)
+        exact = pt.mean_hitting_exact(pt.chain_from_space(space, beta), g[1], [g[2]])
         se = times.std(ddof=1) / math.sqrt(len(times))
         assert abs(times.mean() - exact) <= 4 * se
 
@@ -252,7 +252,7 @@ class TestRenewalLanes:
         assert not (space.move_deltas()[start] > 0).all()
         beta = 2.0
         times = dy.sample_hitting_times(space, start, mask, beta, 400, seed=29)
-        exact = pt.mean_hitting_exact(space, start, [g[2]], beta)
+        exact = pt.mean_hitting_exact(pt.chain_from_space(space, beta), start, [g[2]])
         se = times.std(ddof=1) / math.sqrt(len(times))
         assert abs(times.mean() - exact) <= 4 * se
 
@@ -420,7 +420,7 @@ class TestLoopCompression:
         mask[targets] = True
         beta = 3.0
         times = dy.sample_hitting_times(space, g[1], mask, beta, 400, seed=13)
-        exact = pt.mean_hitting_exact(space, g[1], targets, beta)
+        exact = pt.mean_hitting_exact(pt.chain_from_space(space, beta), g[1], targets)
         se = times.std(ddof=1) / math.sqrt(len(times))
         assert abs(times.mean() - exact) <= 4 * se
 

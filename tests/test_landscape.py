@@ -98,6 +98,19 @@ class TestCommHeight:
         with pytest.raises(ValueError):
             comm_height(space, g[1], g[2], avoid=[g[1]])
 
+    @pytest.mark.parametrize("extra", [7, -100], ids=["n_plus_7", "n_minus_100"])
+    @pytest.mark.parametrize("sweep", ["comm_height", "neighborhood"])
+    def test_avoid_mask_of_wrong_length_refused(self, space_223_open, extra, sweep):
+        space = space_223_open
+        g = space.ground_states()
+        avoid = np.zeros(space.n_states + extra, dtype=bool)
+        shapes = rf"shape \({space.n_states},\), got shape \({space.n_states + extra},\)"
+        with pytest.raises(ValueError, match=shapes):
+            if sweep == "comm_height":
+                comm_height(space, g[1], g[2], avoid=avoid)
+            else:
+                neighborhood(space, [g[1]], 6, avoid=avoid)
+
     @pytest.mark.parametrize("past_end", [False, True], ids=["minus1", "n_states"])
     def test_out_of_range_index_refused(self, space_223_open, past_end):
         space = space_223_open

@@ -72,7 +72,7 @@ class TestDirichlet:
 class TestEquilibriumPotential:
     def test_boundary_values_and_range(self, space_223_open):
         g = space_223_open.ground_states()
-        h = pt.equilibrium_potential(space_223_open, [g[1]], [g[2]], beta=2.0)
+        h = pt.equilibrium_potential(pt.chain_from_space(space_223_open, 2.0), [g[1]], [g[2]])
         assert h[g[1]] == 1.0 and h[g[2]] == 0.0
         assert (h >= 0).all() and (h <= 1).all()
 
@@ -104,15 +104,17 @@ class TestCapacityAndHitting:
     def test_hitting_routes_agree(self, space_223_open):
         g = space_223_open.ground_states()
         for beta in (2.0, 3.0):
-            m1 = pt.mean_hitting_exact(space_223_open, g[1], [g[2]], beta, "capacity")
-            m2 = pt.mean_hitting_exact(space_223_open, g[1], [g[2]], beta, "direct")
+            m1 = pt.mean_hitting_exact(pt.chain_from_space(space_223_open, beta),
+                                       g[1], [g[2]], "capacity")
+            m2 = pt.mean_hitting_exact(pt.chain_from_space(space_223_open, beta),
+                                       g[1], [g[2]], "direct")
             assert abs(m1 - m2) / m1 < 1e-8
 
     def test_exponential_scaling(self, space_223_open):
         # log E[tau] grows like beta * Gamma with Gamma = 6 (brute barrier)
         g = space_223_open.ground_states()
-        m3 = pt.mean_hitting_exact(space_223_open, g[1], [g[2]], 3.0)
-        m4 = pt.mean_hitting_exact(space_223_open, g[1], [g[2]], 4.0)
+        m3 = pt.mean_hitting_exact(pt.chain_from_space(space_223_open, 3.0), g[1], [g[2]])
+        m4 = pt.mean_hitting_exact(pt.chain_from_space(space_223_open, 4.0), g[1], [g[2]])
         slope = math.log(m4) - math.log(m3)
         assert abs(slope - 6.0) < 0.5
 
@@ -128,13 +130,13 @@ class TestSolverRefusals:
         # the direct system is numerically indefinite at beta=40
         g = space_222_open.ground_states()
         with pytest.raises(RuntimeError, match="dense Cholesky failed on 255 unknowns"):
-            pt.mean_hitting_exact(space_222_open, g[1], [g[2]], 40.0, "direct")
+            pt.mean_hitting_exact(pt.chain_from_space(space_222_open, 40.0), g[1], [g[2]], "direct")
 
     def test_underflowed_conductances(self, space_222_open):
         # beta * E_max = 840 > 745: the top states' conductances are all 0.0
         g = space_222_open.ground_states()
         with pytest.raises(RuntimeError, match="2 of 254 free states have zero total"):
-            pt.capacity(space_222_open, [g[1]], [g[2]], 70.0)
+            pt.capacity(pt.chain_from_space(space_222_open, 70.0), [g[1]], [g[2]])
 
     def test_direct_route_cg_nonconvergence(self, space_223_open):
         # the 4,095-unknown direct system at beta=12 does not converge within
@@ -142,15 +144,17 @@ class TestSolverRefusals:
         g = space_223_open.ground_states()
         with pytest.raises(RuntimeError,
                            match="conjugate gradients did not converge on 4095 unknowns"):
-            pt.mean_hitting_exact(space_223_open, g[1], [g[2]], 12.0, "direct")
+            pt.mean_hitting_exact(pt.chain_from_space(space_223_open, 12.0), g[1], [g[2]], "direct")
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "ROADMAP item 7: the direct route's dense factorization succeeds at "
         "beta=20 but returns 1.207e43 against the capacity route's 3.360e42"))
     def test_direct_route_agrees_at_beta20(self, space_222_open):
         g = space_222_open.ground_states()
-        m_cap = pt.mean_hitting_exact(space_222_open, g[1], [g[2]], 20.0, "capacity")
-        m_dir = pt.mean_hitting_exact(space_222_open, g[1], [g[2]], 20.0, "direct")
+        m_cap = pt.mean_hitting_exact(pt.chain_from_space(space_222_open, 20.0),
+                                      g[1], [g[2]], "capacity")
+        m_dir = pt.mean_hitting_exact(pt.chain_from_space(space_222_open, 20.0),
+                                      g[1], [g[2]], "direct")
         assert abs(m_dir - m_cap) / m_cap < 1e-6
 
 
@@ -262,7 +266,7 @@ class TestConjugateGradientBranch:
         # by the 1<->2 spin symmetry the third ground state has h = 1/2 exactly
         space = enumerate_space(LatticeSpec(2, 2, 2, 3, "open"))
         g = space.ground_states()
-        h = pt.equilibrium_potential(space, [g[1]], [g[2]], 4.0)
+        h = pt.equilibrium_potential(pt.chain_from_space(space, 4.0), [g[1]], [g[2]])
         assert abs(h[g[3]] - 0.5) <= 1e-9
 
     @pytest.mark.parametrize("beta", [2.0, 3.0, 4.0])
@@ -317,7 +321,7 @@ class TestSpectralGap:
         g = space_223_open.ground_states()
         for beta in (3.0, 4.0):
             lam = pt.spectral_gap(space_223_open, beta, method="variational")
-            m = pt.mean_hitting_exact(space_223_open, g[1], [g[2]], beta)
+            m = pt.mean_hitting_exact(pt.chain_from_space(space_223_open, beta), g[1], [g[2]])
             assert 0.1 < lam * m < 10.0
 
     def test_state_limit(self):
@@ -331,8 +335,23 @@ class TestSpectralGap:
         # quotient, and lambda * E_g1[tau_g2] -> 2 for two ground states
         g = space_233_open.ground_states()
         lam = pt.spectral_gap(space_233_open, 4.0, method="variational")
-        m = pt.mean_hitting_exact(space_233_open, g[1], [g[2]], 4.0)
+        m = pt.mean_hitting_exact(pt.chain_from_space(space_233_open, 4.0), g[1], [g[2]])
         assert abs(lam * m - 2.0) < 1e-6
+
+    def test_dense_traced_peak_is_one_square_array(self):
+        # the Laplacian is scaled in place: the traced peak is 1.17 n x n
+        # float64 arrays (the eigensolver's working copy is LAPACK's, not
+        # traced), where scaling into new arrays reached 3.17
+        space = enumerate_space(LatticeSpec(2, 2, 2, 2, "open"))
+        n = space.n_states
+        tracemalloc.start()
+        try:
+            gap = pt.spectral_gap(space, 1.0, method="dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap > 0
+        assert peak < 2 * 8 * n ** 2
 
     @pytest.mark.parametrize("beta, method", [(0.5, "auto"), (3.0, "dense")])
     def test_dense_refused_over_one_gib(self, space_224_open, beta, method):
@@ -349,46 +368,65 @@ class TestSpectralGap:
 
 
 class TestAuxChain:
+    @pytest.fixture(scope="class", params=["224", "233", "222q3"])
+    def aux_ts(self, request, space_224_open, space_233_open):
+        """The typical sets of 2x2x4 open, 2x3x3 open (1,354 vertices) and
+        2x2x2 open q=3 (237 vertices)."""
+        if request.param == "224":
+            return typical_sets(space_224_open, A=(1,), B=(2,))
+        if request.param == "233":
+            return typical_sets(space_233_open, A=(1,), B=(2,))
+        return typical_sets(enumerate_space(LatticeSpec(2, 2, 2, 3, "open")), A=(1,), B=(2, 3))
+
     def test_uniform_reversibility(self, space_224_open):
         ts = typical_sets(space_224_open, A=(1,), B=(2,))
-        aux = pt.build_aux_chain(ts)
-        assert aux.n == int(ts.O_A.sum()) + len(ts.Ibar_A)
-        assert (aux.rates >= 1).all()
-        assert np.all(aux.as_chain().mu == 1.0 / aux.n)
+        labels, chain = pt.build_aux_chain(ts)
+        assert chain.n == int(ts.O_A.sum()) + len(ts.Ibar_A)
+        assert (np.rint(chain.cond * chain.n) >= 1).all()
+        assert np.all(chain.mu == 1.0 / chain.n)
 
-    def test_rate_counts(self, space_224_open):
+    def test_rate_counts(self, aux_ts):
         # every rate recomputed from the move table: 1 between adjacent
         # at-ceiling ("O") states, and between an O state and a class the
         # number of the class's members adjacent to it; each vertex pair is
         # one edge, and each O state's rates add up to its moves into the chain
-        ts = typical_sets(space_224_open, A=(1,), B=(2,))
-        aux = pt.build_aux_chain(ts)
-        mt = space_224_open.move_table()
-        vertex = np.full(space_224_open.n_states, -1)
-        vertex[aux.vertex_state] = np.arange(aux.n)
+        ts = aux_ts
+        space = ts.space
+        labels, chain = pt.build_aux_chain(ts)
+        n_O = int(ts.O_A.sum())
+        vertex_state = np.r_[np.flatnonzero(ts.O_A), ts.Ibar_A]
+        rates = np.rint(chain.cond * chain.n).astype(np.int64)
+        mt = space.move_table()
+        vertex = np.full(space.n_states, -1)
+        vertex[vertex_state] = np.arange(chain.n)
         for s, rep in ts.class_rep_A.items():
             vertex[s] = vertex[rep]
-        pairs = np.sort(np.c_[aux.src, aux.dst], axis=1)
+        assert np.array_equal(labels, vertex)
+        pairs = np.sort(np.c_[chain.src, chain.dst], axis=1)
         assert len(np.unique(pairs, axis=0)) == len(pairs)
-        total = np.zeros(aux.n, dtype=np.int64)
-        for i, j, r in zip(aux.src, aux.dst, aux.rates):
-            if aux.kind[i] != "O":
+        total = np.zeros(chain.n, dtype=np.int64)
+        for i, j, r in zip(chain.src, chain.dst, rates):
+            if i >= n_O:
                 i, j = j, i
-            assert aux.kind[i] == "O"
-            near = vertex[mt[aux.vertex_state[i]]]
-            assert r == (1 if aux.kind[j] == "O" else np.count_nonzero(near == j))
+            assert i < n_O
+            near = vertex[mt[vertex_state[i]]]
+            assert r == (1 if j < n_O else np.count_nonzero(near == j))
             assert j in near
             total[[i, j]] += r
-        for v in range(aux.n):
-            if aux.kind[v] == "O":
-                assert total[v] == np.count_nonzero(vertex[mt[aux.vertex_state[v]]] >= 0)
+        for v in range(chain.n):
+            if v < n_O:
+                assert total[v] == np.count_nonzero(vertex[mt[vertex_state[v]]] >= 0)
 
     def test_degenerate_window_raises(self, space_224_open):
         ts = typical_sets(space_224_open, A=(1,), B=(2,))
-        aux = pt.build_aux_chain(ts)
-        s_v, t_v = pt.aux_ground_and_window_vertices(ts, aux)
         with pytest.raises(ValueError, match="degenerate"):
-            pt.aux_capacity(aux, s_v, t_v)
+            pt.e_constant(ts)
+
+    @pytest.mark.parametrize("A, B", [((1,), (2, 3)), ((2, 3), (1,))])
+    def test_e_constant_on_a_window(self, A, B):
+        # 2x2x2 open q=3 has a window apart from the ground classes, both ways
+        ts = typical_sets(enumerate_space(LatticeSpec(2, 2, 2, 3, "open")), A=A, B=B)
+        assert pt.e_constant(ts) == pytest.approx(1 / 32, rel=1e-12)
 
 
 def _harmonic_current(space, beta):
@@ -673,7 +711,7 @@ class TestSymmetryLumping:
 class TestConstants:
     def test_kappa2d_stand_in(self):
         spec2d = Lattice2D(3, 3, 2, "periodic")
-        k2d, gamma2d = pt.kappa2d_stand_in(spec2d, beta_star=3.0)
+        k2d, gamma2d = pt.kappa2d_stand_in(spec2d)
         assert gamma2d == 8
         assert k2d > 0
 
