@@ -227,7 +227,7 @@ class Quotient:
 def _energy_levels(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes sorted by energy, the distinct energies, and the slice
     ``bounds[j]:bounds[j+1]`` of the sorted nodes at ``levels[j]``."""
-    order = np.argsort(energies, kind="stable")
+    order = np.argsort(energies, kind="stable").astype(np.int32)
     levels, starts = np.unique(energies[order], return_index=True)
     return order, levels, np.append(starts, len(order))
 
@@ -276,36 +276,49 @@ def _minimax_heights(energies: np.ndarray, moves: np.ndarray, by_energy, roots,
     The graph is given by its node ``energies``, the ``moves`` table whose
     row ``x`` lists the neighbours of node ``x``, and ``by_energy``, the
     energies' :func:`_energy_levels`: a state space's single-flip graph, or
-    a :class:`Quotient` of it whose nodes are classes of states.  Nodes are released
-    level by level in order of energy.  At level h the released nodes
-    touching an already reached node, plus the roots at h, seed a flood
-    fill over the released nodes, which marks everything it reaches with
-    h.  With a ``stop`` index array the sweep ends after the first level
-    that reaches one of its nodes.
+    a :class:`Quotient` of it whose nodes are classes of states.  Every
+    move must be reversible: ``y`` is in row ``x`` exactly when ``x`` is in
+    row ``y``.  Single-flip graphs are, and so are quotients by orbits of
+    lattice symmetries.
+
+    Nodes are released level by level in order of energy.  At level h the
+    released nodes touching an already reached node, plus the roots at h,
+    seed a flood fill over the released nodes, which marks everything it
+    reaches with h.  With a ``stop`` index array the sweep ends after the
+    first level that reaches one of its nodes.
+
+    Each node's row is gathered once, when the flood reaches it.  The
+    targets of that gather are marked ``touched``, which by reversibility
+    is "has a reached neighbour", so a level's seeds are its touched nodes.
+    A wave drops repeated targets by writing a distinct negative stamp per
+    position into ``height`` and keeping the copies whose stamp survived;
+    the next wave overwrites the stamps with the level.
     """
     order, levels, bounds = by_energy
     n = len(energies)
     height = np.full(n, -1, dtype=np.int64)
-    reached = np.zeros(n, dtype=bool)  # height >= 0, one byte a node
-    is_root = np.zeros(n, dtype=bool)
-    is_root[roots] = True
+    # 0 released and not reached, 1 reached, 2 above the level or avoided
+    status = np.full(n, 2, dtype=np.uint8)
+    touched = np.zeros(n, dtype=bool)
+    touched[roots] = True
     for j, level in enumerate(levels):
         if ceiling is not None and level > ceiling:
             break
         new = order[bounds[j]:bounds[j + 1]]
         if avoid is not None:
             new = new[~avoid[new]]
-        frontier = new[is_root[new] | reached[moves[new]].any(axis=1)]
+        status[new] = 0
+        frontier = new[touched[new]]
         while len(frontier):
             height[frontier] = level
-            reached[frontier] = True
-            # filter before np.unique: most targets are reached or above level
+            status[frontier] = 1
             nxt = moves[frontier].ravel()
-            keep = (energies[nxt] <= level) & ~reached[nxt]
-            if avoid is not None:
-                keep &= ~avoid[nxt]
-            frontier = np.unique(nxt[keep])
-        if stop is not None and reached[stop].any():
+            touched[nxt] = True
+            nxt = nxt[status[nxt] == 0]
+            stamp = np.arange(-1, -1 - len(nxt), -1)
+            height[nxt] = stamp
+            frontier = nxt[height[nxt] == stamp]
+        if stop is not None and (status[stop] == 1).any():
             break
     return height
 
@@ -314,7 +327,8 @@ def comm_height(space: StateSpace | Quotient, source, target, avoid=None):
     """Exact min over paths of the max energy (inclusive of endpoints).
 
     ``source`` and ``target`` are state indices or iterables of indices
-    (multi-source/multi-target).  ``avoid`` is an optional forbidden set of
+    (multi-source/multi-target); indices of any dtype but an integer one
+    raise ``ValueError``.  ``avoid`` is an optional forbidden set of
     state indices (an iterable, or a boolean mask of shape ``(n_states,)``;
     a mask of any other shape raises ``ValueError``); returns ``None``
     when the endpoints are disconnected under the restriction.
@@ -331,7 +345,11 @@ def comm_height(space: StateSpace | Quotient, source, target, avoid=None):
 
 
 def _state_indices(space: StateSpace | Quotient, states, role: str) -> np.ndarray:
-    idx = np.atleast_1d(np.asarray(states, dtype=np.int64))
+    idx = np.atleast_1d(np.asarray(states))
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        # a boolean mask would read as the indices 0 and 1, floats would truncate
+        raise ValueError(f"{role} indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
     bad = idx[(idx < 0) | (idx >= space.n_states)]
     if len(bad):
         raise ValueError(
@@ -380,8 +398,9 @@ def neighborhood(space: StateSpace | Quotient, roots, ceiling: int, avoid=None) 
     """Flood fill under an energy ceiling.
 
     Roots with energy above the ceiling contribute nothing (a root above
-    the ceiling alone yields the empty set).  States in ``avoid`` (given as
-    to :func:`comm_height`) are never entered; roots inside ``avoid`` are
+    the ceiling alone yields the empty set).  Roots are integer indices, as
+    in :func:`comm_height`.  States in ``avoid`` (given as to
+    :func:`comm_height`) are never entered; roots inside ``avoid`` are
     rejected.
     """
     roots = _state_indices(space, roots, "root")

@@ -254,7 +254,7 @@ def _solve_dirichlet_problem(
     CSR with int32 indices (``WeightedChain._laplacian_on``), and a
     right-hand side summed over the edges into ``ones_set`` alone (every
     other edge adds +0.0).  One solver branch runs, chosen by the number
-    ``m`` of free states: a dense Cholesky factorization up to 1,000
+    ``m`` of free states: a dense Cholesky factorization up to 255
     unknowns, Jacobi-scaled conjugate gradients above, capped at ``m``
     iterations (the bound at which CG terminates in exact arithmetic).
     Either is followed by at most three rounds of iterative refinement on
@@ -295,9 +295,10 @@ def _solve_dirichlet_problem(
         b = b + rhs_extra[free]
 
     # CG already beats the dense factorization at 510 unknowns and by 40x
-    # at 4,094 (README, Performance notes).  Sparse LU is no option:
-    # state-space graphs are expander-like and fill in almost fully.
-    if m <= 1_000:
+    # at 4,094 (README, Performance notes), and the threaded factorization
+    # stalled on the lumped 2x2x3 systems (376 unknowns).  Sparse LU is no
+    # option: state-space graphs are expander-like and fill in almost fully.
+    if m <= 255:
         # factored in place in its F-ordered array
         try:
             factor = cho_factor(A.toarray(order="F"), lower=True, overwrite_a=True)
@@ -427,7 +428,7 @@ def mean_hitting_exact(chain: WeightedChain, s: int, target, method: str = "capa
     accuracy on well-conditioned instances.  Either route raises
     ``RuntimeError`` when its solve fails (see ``_solve_dirichlet_problem``),
     as the direct route does at large ``beta``: its dense factorization
-    fails up to 1,000 unknowns, and above that conjugate gradients do not
+    fails up to 255 unknowns, and above that conjugate gradients do not
     converge.
     """
     target = np.atleast_1d(np.asarray(target, dtype=np.int64))

@@ -18,6 +18,7 @@ from spinscape.landscape import (
     valley_depths,
 )
 from spinscape.lattice import Lattice2D, LatticeSpec, axis_images, monochrome
+from spinscape.potential import _translation_orbits
 
 
 class TestEnumeration:
@@ -111,6 +112,20 @@ class TestCommHeight:
             else:
                 neighborhood(space, [g[1]], 6, avoid=avoid)
 
+    def test_non_integer_indices_refused(self, space_223_open):
+        # a boolean mask would read as the indices 0 and 1, a float truncates
+        space = space_223_open
+        g = space.ground_states()
+        mask = np.zeros(space.n_states, dtype=bool)
+        mask[g[2]] = True
+        with pytest.raises(ValueError, match="source indices must be integers, got dtype float64"):
+            comm_height(space, [0.9], g[2])
+        with pytest.raises(ValueError, match="target indices must be integers, got dtype bool"):
+            comm_height(space, g[1], mask)
+        with pytest.raises(ValueError, match="root indices must be integers, got dtype bool"):
+            neighborhood(space, mask, 5)
+        assert len(neighborhood(space, [], 5)) == 0  # an empty list stays allowed
+
     @pytest.mark.parametrize("past_end", [False, True], ids=["minus1", "n_states"])
     def test_out_of_range_index_refused(self, space_223_open, past_end):
         space = space_223_open
@@ -189,14 +204,23 @@ class TestBottleneckOracle:
     @pytest.fixture(
         scope="class",
         params=[
-            LatticeSpec(2, 2, 3, 2, "open"),
-            LatticeSpec(2, 2, 2, 3, "open"),
-            Lattice2D(3, 3, 3, "periodic"),  # wrap-around moves, as kappa2d floods
+            (LatticeSpec(2, 2, 3, 2, "open"), None),
+            (LatticeSpec(2, 2, 2, 3, "open"), None),
+            (Lattice2D(3, 3, 3, "periodic"), None),  # wrap-around moves, as kappa2d floods
+            # the flood seeds from reversed moves, so quotients must keep rows symmetric
+            (LatticeSpec(2, 2, 3, 2, "open"), "symmetry"),  # 378 classes
+            (Lattice2D(3, 3, 3, "periodic"), "translation"),  # 2,211 classes
         ],
-        ids=["223-q2", "222-q3", "2d33p-q3"],
+        ids=["223-q2", "222-q3", "2d33p-q3", "223-q2-symmetry", "2d33p-q3-translation"],
     )
     def space(self, request):
-        return enumerate_space(request.param)
+        spec, quotient = request.param
+        space = enumerate_space(spec)
+        if quotient == "symmetry":
+            return space.symmetry_quotient()[1]
+        if quotient == "translation":
+            return space.quotient(*_translation_orbits(space))
+        return space
 
     def _cases(self, space, seed):
         rng = np.random.default_rng(seed)
@@ -245,6 +269,20 @@ class TestBottleneckOracle:
 
 
 class TestValleyDepths:
+    def test_traced_peak_per_state(self):
+        # the flood holds an int64 height and two status bytes per state,
+        # and the cached levels 4 B of int32 order; the move table is built
+        # before tracing (64 B per state)
+        space = enumerate_space(LatticeSpec(2, 2, 4, 2, "open"))
+        space.move_table()
+        tracemalloc.start()
+        try:
+            valley_depths(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * space.n_states
+
     def test_grounds_have_zero_depth(self, space_223_open):
         space = space_223_open
         vd = valley_depths(space)

@@ -241,7 +241,7 @@ class TestReducedSystem:
 
 
 class TestConjugateGradientBranch:
-    """Systems above 1,000 unknowns are solved by conjugate gradients."""
+    """Systems above 255 unknowns are solved by conjugate gradients."""
 
     @pytest.mark.parametrize("beta", [2.0, 3.0, 4.0])
     def test_dense_oracle_223(self, space_223_open, beta):
