@@ -331,14 +331,11 @@ def gateway_2d_types(spec2d: Lattice2D, a: int, b: int) -> dict:
 # 3D builders
 # ---------------------------------------------------------------------------
 
-def build_regular(
-    spec: LatticeSpec, a: int, b: int, P: TorusArc, orientation: str | None = None
-) -> SpinConfig:
+def build_regular(spec: LatticeSpec, a: int, b: int, P: TorusArc) -> SpinConfig:
     """The slab configuration: floors in ``P`` all spin ``b``, rest ``a``."""
     if P.n != spec.M:
         raise ValueError("arc size does not match M")
-    sigma = SpinConfig(spec, _slab(spec, a, b, P).ravel())
-    return sigma if orientation is None else sigma.transpose(orientation)
+    return SpinConfig(spec, _slab(spec, a, b, P).ravel())
 
 
 def build_canonical(
@@ -348,7 +345,6 @@ def build_canonical(
     P: TorusArc,
     Q: TorusArc,
     floor,
-    orientation: str | None = None,
 ) -> SpinConfig:
     """One-active-floor configuration: floors in ``P`` are constant ``b``,
     floors outside ``Q`` constant ``a``, and the single floor of ``Q - P``
@@ -372,8 +368,7 @@ def build_canonical(
     (m0,) = Q.member_set() - P.member_set()
     arr = _slab(spec, a, b, P)
     arr[m0 - 1] = eta.spins.reshape(spec.L, spec.K)
-    sigma = SpinConfig(spec, arr.ravel())
-    return sigma if orientation is None else sigma.transpose(orientation)
+    return SpinConfig(spec, arr.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -554,25 +549,11 @@ class PathSeq:
             cur = cur.flip_index(i, s)
             yield cur
 
-    @property
-    def end(self) -> SpinConfig:
-        cur = self.start
-        for (i, s) in self.flips:
-            cur = cur.flip_index(i, s)
-        return cur
-
     def validate(self) -> None:
         """Recompute the ledger from scratch; raises on any mismatch."""
-        cur = self.start
-        H = energy(cur)
-        if H != self.energies[0]:
-            raise AssertionError("start energy mismatch")
-        for t, (i, s) in enumerate(self.flips):
-            d = flip_delta(cur, i, s)
-            cur = cur.flip_index(i, s)
-            H += d
-            if d != self.deltas[t] or H != self.energies[t + 1]:
-                raise AssertionError(f"ledger mismatch at step {t}")
+        ref = _path_from_flips(self.start, self.flips)
+        if (ref.deltas, ref.energies) != (list(self.deltas), list(self.energies)):
+            raise AssertionError("ledger mismatch")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -612,49 +593,19 @@ def _path_from_flips(start: SpinConfig, flips, stages=None) -> PathSeq:
     return PathSeq(start, list(flips), deltas, energies, stages or {})
 
 
-def _check_growth_order(order, n: int, boundary: str, what: str) -> None:
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"{what} order must be a permutation of 1..{n}")
-    for t in range(1, n + 1):
-        prefix = set(order[:t])
-        if _arc_from_set(n, prefix, boundary) is None:
-            raise ValueError(f"{what} order prefix {sorted(prefix)} is not connected")
-
-
-def canonical_path(
-    spec: LatticeSpec,
-    a: int,
-    b: int,
-    floors_order=None,
-    rows_order=None,
-    cols_order=None,
-) -> PathSeq:
+def canonical_path(spec: LatticeSpec, a: int, b: int) -> PathSeq:
     """A canonical growth path from the constant-``a`` to the constant-``b``
     configuration.
 
-    Floors are converted one at a time (default bottom-up), each via a 2D
-    growth: rows in order (default increasing), each row filled column by
-    column (default increasing).  Every growth order must have connected
-    prefixes; on open boundaries the defaults anchor growth at a corner,
-    which is what realizes the open-box barrier value.  The path has
-    ``K*L*M`` single-flip steps.
+    Floors are converted one at a time bottom-up, each via a 2D growth:
+    rows in increasing order, each row filled column by column.  On open
+    boundaries this anchors growth at a corner, which is what realizes the
+    open-box barrier value.  The path has ``K*L*M`` single-flip steps, in
+    linear site order.
     """
     if a == b:
         raise ValueError("need two distinct spins")
-    K, L, M = spec.dims
-    floors_order = list(floors_order or range(1, M + 1))
-    rows_order = list(rows_order or range(1, L + 1))
-    cols_order = list(cols_order or range(1, K + 1))
-    _check_growth_order(floors_order, M, spec.boundary, "floor")
-    _check_growth_order(rows_order, L, spec.boundary, "row")
-    _check_growth_order(cols_order, K, spec.boundary, "column")
-    start = monochrome(spec, a)
-    flips = []
-    for m in floors_order:
-        for l in rows_order:
-            for k in cols_order:
-                flips.append((spec.site_index(Site(k, l, m)), b))
-    return _path_from_flips(start, flips)
+    return _path_from_flips(monochrome(spec, a), [(i, b) for i in range(spec.n_sites)])
 
 
 def escape_path(spec: LatticeSpec, a: int, b: int, n: int) -> PathSeq:

@@ -659,7 +659,7 @@ def _jump_tables(space, beta: float, target_mask: np.ndarray) -> _JumpTables:
     """Jump tables of every state, and loop tables of the centres: the
     non-target states every move of which raises the energy."""
     moves = space.move_table()
-    deltas = space.move_deltas()  # (n_states, n_moves) energy change
+    deltas = space.energies[moves] - space.energies[:, None]  # (n_states, n_moves) energy change
     # each state's jump law from its rate exponents max(dH, 0) shifted by
     # their least, finite at any beta, built in place in one array
     law = deltas.astype(np.float64)

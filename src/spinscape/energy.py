@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice2D, LatticeSpec, PERIODIC, Site, SpinConfig, axis_images
+from .lattice import Lattice2D, LatticeSpec, PERIODIC, SpinConfig, axis_images
 
 __all__ = [
     "energy",
@@ -67,13 +67,11 @@ def decompose(sigma: SpinConfig) -> tuple[list[int], list[int]]:
 # Flip deltas
 # ---------------------------------------------------------------------------
 
-def flip_delta(sigma: SpinConfig, x, a: int) -> int:
-    """``energy(flip(sigma, x, a)) - energy(sigma)`` scanning only x's bonds.
-
-    ``x`` may be a :class:`Site` (on 3D specs) or a linear site index.
-    """
+def flip_delta(sigma: SpinConfig, i: int, a: int) -> int:
+    """``energy(sigma.flip_index(i, a)) - energy(sigma)`` scanning only the
+    bonds of linear site ``i``."""
     spec = sigma.spec
-    i = spec.site_index(x) if isinstance(x, Site) else int(x)
+    i = int(i)
     if not 0 <= i < spec.n_sites:
         raise ValueError(f"site index {i} out of range")
     if not 1 <= a <= spec.q:

@@ -132,16 +132,6 @@ class StateSpace:
             self._levels = _energy_levels(self.energies)
         return self._levels
 
-    def move_deltas(self) -> np.ndarray:
-        """(n_states, n_moves) energy change of every single-site move."""
-        if not hasattr(self, "_move_deltas"):
-            mt = self.move_table()
-            self._move_deltas = (
-                self.energies[mt].astype(np.int64)
-                - self.energies[:, None].astype(np.int64)
-            )
-        return self._move_deltas
-
     def orbits(self, perms) -> tuple[np.ndarray, int]:
         """Label every state by its orbit under the group generated by the
         site permutations ``perms`` (each as in :meth:`site_image`).
@@ -335,7 +325,7 @@ def comm_height(space: StateSpace | Quotient, source, target, avoid=None):
     """
     src = _state_indices(space, source, "source")
     dst = _state_indices(space, target, "target")
-    blocked = _as_mask(space.n_states, avoid)
+    blocked = _as_mask(space, avoid)
     if blocked is not None and (blocked[src].any() or blocked[dst].any()):
         raise ValueError("an endpoint lies in the avoid set")
     height = _minimax_heights(space.energies, space.move_table(), space.energy_levels(), src,
@@ -357,17 +347,16 @@ def _state_indices(space: StateSpace | Quotient, states, role: str) -> np.ndarra
     return idx
 
 
-def _as_mask(n: int, subset) -> np.ndarray | None:
-    if subset is None:
+def _as_mask(space: StateSpace | Quotient, avoid) -> np.ndarray | None:
+    if avoid is None:
         return None
-    arr = np.asarray(subset)
+    arr, n = np.asarray(avoid), space.n_states
     if arr.dtype == bool:
         if arr.shape != (n,):
             raise ValueError(f"a boolean avoid mask must have shape ({n},), got shape {arr.shape}")
         return arr
     mask = np.zeros(n, dtype=bool)
-    if arr.size:
-        mask[arr.astype(np.int64)] = True
+    mask[_state_indices(space, arr, "avoid")] = True
     return mask
 
 
@@ -404,7 +393,7 @@ def neighborhood(space: StateSpace | Quotient, roots, ceiling: int, avoid=None) 
     rejected.
     """
     roots = _state_indices(space, roots, "root")
-    blocked = _as_mask(space.n_states, avoid)
+    blocked = _as_mask(space, avoid)
     if blocked is not None and blocked[roots].any():
         raise ValueError("a root lies in the avoid set")
     mask = _minimax_heights(space.energies, space.move_table(), space.energy_levels(), roots,

@@ -322,19 +322,8 @@ class SpinConfig:
 
     # -- updates -----------------------------------------------------------
 
-    def flip(self, site: Site, a: int) -> "SpinConfig":
-        """The configuration updated to spin ``a`` at ``site``."""
-        if not 1 <= a <= self.spec.q:
-            raise ValueError(f"spin {a} out of range [1, {self.spec.q}]")
-        i = self.spec.site_index(site)
-        if self.spins[i] == a:
-            return self
-        new = self.spins.copy()
-        new[i] = a
-        return SpinConfig(self.spec, new)
-
     def flip_index(self, index: int, a: int) -> "SpinConfig":
-        """Like :meth:`flip` but addressed by linear index."""
+        """The configuration updated to spin ``a`` at linear site ``index``."""
         if not 0 <= index < self.spec.n_sites:
             raise ValueError(f"linear index {index} out of range")
         if not 1 <= a <= self.spec.q:

@@ -584,13 +584,6 @@ class ConstantsBundle:
     non_reproducible: list
 
 
-def _translation_orbits(space: StateSpace) -> tuple[np.ndarray, int]:
-    """:meth:`~spinscape.landscape.StateSpace.orbits` of the lattice
-    translations alone (``spec.unit_translations()``; an open lattice has
-    only the identity)."""
-    return space.orbits(space.spec.unit_translations())
-
-
 #: The large stable beta at which :func:`kappa2d_stand_in` solves.
 _BETA_STAR = 4.0
 
@@ -611,7 +604,7 @@ def kappa2d_stand_in(spec2d) -> tuple[float, int]:
     translations fix both monochrome end states.
     """
     space2d = enumerate_space(spec2d)
-    floor = space2d.quotient(*_translation_orbits(space2d))
+    floor = space2d.quotient(*space2d.orbits(space2d.spec.unit_translations()))
     del space2d  # the barrier and the chain need only the quotient
     g = floor.ground_states()
     gamma2d = comm_height(floor, g[1], g[2])

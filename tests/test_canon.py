@@ -1,5 +1,8 @@
 """Configuration families, gateways, paths, recognizers."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -152,8 +155,8 @@ class TestBuilders:
     def test_orientation_images(self):
         cube = LatticeSpec(3, 3, 3, 2, "periodic")
         P = TorusArc(3, 1, 1)
-        s_id = build_regular(cube, 1, 2, P, orientation="012")
-        s_rot = build_regular(cube, 1, 2, P, orientation="210")
+        s_id = build_regular(cube, 1, 2, P).transpose("012")
+        s_rot = build_regular(cube, 1, 2, P).transpose("210")
         assert s_id != s_rot
         assert is_canonical(s_rot) is not None
 
@@ -203,12 +206,7 @@ class TestPaths:
         p.validate()
         assert len(p) == spec.n_sites
         assert p.energies[0] == 0 and p.energies[-1] == 0
-        assert p.end == monochrome(spec, 2)
-
-    def test_custom_orders_must_be_connected(self):
-        spec = LatticeSpec(3, 3, 4, 2, "periodic")
-        with pytest.raises(ValueError):
-            canonical_path(spec, 1, 2, floors_order=[1, 3, 2, 4])
+        assert list(p.configs())[-1] == monochrome(spec, 2)
 
     def test_json_roundtrip_bit_exact(self):
         spec = LatticeSpec(3, 3, 3, 2, "periodic")
@@ -217,9 +215,26 @@ class TestPaths:
         q = PathSeq.from_json(text)
         assert q.to_json() == text
 
-    def test_from_json_rejects_corrupt_ledger(self):
-        import json
+    def test_from_json_accepts_a_start_written_as_spins(self):
+        p = canonical_path(LatticeSpec(3, 3, 3, 2, "periodic"), 1, 2)
+        obj = json.loads(p.to_json())
+        obj["start"] = json.loads(p.start.to_json())
+        assert "spins" in obj["start"]
+        assert PathSeq.from_json(json.dumps(obj)).to_json() == p.to_json()
 
+    @pytest.mark.parametrize("kind, digest", [
+        ("canonical", "09d1dbab342531ba025a30dcf8ab2943dd70dfff12cda1e6c67672030dad28d7"),
+        ("escape", "09bd31fec65e5d90637ee149ffe8db579873453bc58ff677743003a9b4a37c90"),
+    ])
+    def test_default_ledgers_pinned(self, kind, digest):
+        # the flip order, deltas, energies and stages of both default paths
+        if kind == "canonical":
+            p = canonical_path(LatticeSpec(3, 3, 4, 2, "periodic"), 1, 2)
+        else:
+            p = escape_path(LatticeSpec(9, 9, 9, 2, "periodic"), 1, 2, 2)
+        assert hashlib.sha256(p.to_json().encode()).hexdigest() == digest
+
+    def test_from_json_rejects_corrupt_ledger(self):
         spec = LatticeSpec(3, 3, 3, 2, "periodic")
         p = canonical_path(spec, 1, 2)
         obj = json.loads(p.to_json())
@@ -237,7 +252,7 @@ class TestPaths:
         p = escape_path(spec, 1, 2, 2)
         gamma = 2 * 81 + 2 * 9 + 2
         assert p.max_energy < gamma
-        assert p.end == monochrome(spec, 1)
+        assert list(p.configs())[-1] == monochrome(spec, 1)
 
 
 class TestRecognizerReadings:
@@ -270,9 +285,9 @@ class TestRecognizerReadings:
             for length in range(M + 1):
                 for P in arcs_of_length(M, length, boundary):
                     for o in orientations:
-                        sigmas = [build_regular(spec, a, b, P, o)]
+                        sigmas = [build_regular(spec, a, b, P).transpose(o)]
                         for Q in P.extensions(boundary):
-                            sigmas += [build_canonical(spec, a, b, P, Q, f, o) for f in floors]
+                            sigmas += [build_canonical(spec, a, b, P, Q, f).transpose(o) for f in floors]
                         for sigma in sigmas:
                             d = is_canonical(sigma)
                             assert d is not None

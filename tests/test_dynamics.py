@@ -249,7 +249,7 @@ class TestRenewalLanes:
         mask = np.zeros(space.n_states, bool)
         mask[g[2]] = True
         start = int(space.move_table()[g[1], 4])
-        assert not (space.move_deltas()[start] > 0).all()
+        assert not (space.energies[space.move_table()[start]] > space.energies[start]).all()
         beta = 2.0
         times = dy.sample_hitting_times(space, start, mask, beta, 400, seed=29)
         exact = pt.mean_hitting_exact(pt.chain_from_space(space, beta), start, [g[2]])
@@ -285,7 +285,7 @@ class TestRenewalLanes:
         g = space.ground_states()
         mask = np.zeros(space.n_states, bool)
         mask[g[2]] = True
-        space.move_table(), space.move_deltas()
+        space.move_table()
         dy.sample_hitting_times(space, g[1], mask, 2.0, 10, seed=1)
         tracemalloc.start()
         try:
@@ -360,7 +360,7 @@ class TestLoopCompression:
         if case.endswith("neighbour"):
             mask[mt[g[1], 3]] = True
         tab = dy._jump_tables(space, beta, mask)
-        raises = (space.move_deltas() > 0).all(axis=1)
+        raises = (space.energies[mt] > space.energies[:, None]).all(axis=1)
         assert np.array_equal(tab.centres, np.flatnonzero(raises & ~mask))
         m = mt.shape[1]
         for c, s in enumerate(tab.centres):
@@ -610,7 +610,7 @@ class TestJumpAliasTables:
         got = prob / m
         np.add.at(got.reshape(-1), alias.reshape(-1), ((1.0 - prob) / m).reshape(-1))
         # the Metropolis law, recomputed with each row's least raise taken out
-        raise_ = np.maximum(space.move_deltas(), 0)
+        raise_ = np.maximum(space.energies[space.move_table()] - space.energies[:, None], 0)
         want = np.exp(-beta * (raise_ - raise_.min(axis=1, keepdims=True)))
         want /= want.sum(axis=1, keepdims=True)
         assert np.max(np.abs(got - want)) <= 1e-12

@@ -18,7 +18,6 @@ from spinscape.landscape import (
     valley_depths,
 )
 from spinscape.lattice import Lattice2D, LatticeSpec, axis_images, monochrome
-from spinscape.potential import _translation_orbits
 
 
 class TestEnumeration:
@@ -58,12 +57,11 @@ class TestEnumeration:
     def test_move_table_consistency(self, space_223_open):
         space = space_223_open
         mt = space.move_table()
-        md = space.move_deltas()
         s = 123
         c = space.config(s)
         for j in range(mt.shape[1]):
             t = int(mt[s, j])
-            assert md[s, j] == space.energies[t] - space.energies[s]
+            assert space.energies[t] - space.energies[s] == energy(space.config(t)) - energy(c)
             # target differs from source in exactly one site
             diff = space.config(t).spins != c.spins
             assert diff.sum() == 1
@@ -111,6 +109,24 @@ class TestCommHeight:
                 comm_height(space, g[1], g[2], avoid=avoid)
             else:
                 neighborhood(space, [g[1]], 6, avoid=avoid)
+
+    @pytest.mark.parametrize("avoid, refusal", [
+        ([4094.7], "avoid indices must be integers, got dtype float64"),
+        ([4095.2], "avoid indices must be integers, got dtype float64"),
+        ([-2], r"avoid index -2 outside \[0, 4096\)"),
+    ], ids=["float_truncating_to_4094", "float_truncating_to_a_root", "negative"])
+    @pytest.mark.parametrize("sweep", ["comm_height", "neighborhood"])
+    def test_avoid_index_list_refused(self, space_223_open, avoid, refusal, sweep):
+        # a cast would block state 4094 (or 4095, a root) instead of refusing
+        space = space_223_open
+        g = space.ground_states()
+        with pytest.raises(ValueError, match=refusal):
+            if sweep == "comm_height":
+                comm_height(space, g[1], g[2], avoid=avoid)
+            else:
+                neighborhood(space, [g[2]], 5, avoid=avoid)
+        assert len(neighborhood(space, [g[2]], 5, avoid=[4094])) == 38
+        assert len(neighborhood(space, [g[2]], 5, avoid=[])) == 39
 
     def test_non_integer_indices_refused(self, space_223_open):
         # a boolean mask would read as the indices 0 and 1, a float truncates
@@ -219,7 +235,7 @@ class TestBottleneckOracle:
         if quotient == "symmetry":
             return space.symmetry_quotient()[1]
         if quotient == "translation":
-            return space.quotient(*_translation_orbits(space))
+            return space.quotient(*space.orbits(space.spec.unit_translations()))
         return space
 
     def _cases(self, space, seed):

@@ -123,13 +123,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             c.spins[0] = 2
 
-    def test_flip_site_and_index_agree(self):
-        spec = LatticeSpec(3, 3, 4, 3, "periodic")
-        c = random_config(spec, 1)
-        site = Site(2, 3, 4)
-        i = spec.site_index(site)
-        assert c.flip(site, 3) == c.flip_index(i, 3)
-
     @pytest.mark.parametrize("index", [-1, 36])
     def test_flip_index_out_of_range_refused(self, index):
         c = monochrome(LatticeSpec(3, 3, 4, 3, "periodic"), 1)

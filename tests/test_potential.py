@@ -297,7 +297,7 @@ class TestRefinementStop:
         space = enumerate_space(spec)
         g = space.ground_states()
         if isinstance(spec, Lattice2D):
-            labels, m = pt._translation_orbits(space)
+            labels, m = space.orbits(space.spec.unit_translations())
             chain = pt.chain_from_space(space.quotient(labels, m), beta)
             s, t = labels[g[1]], labels[g[2]]
         else:
@@ -494,25 +494,25 @@ class TestTranslationLumping:
     ])
     def test_orbit_count_is_burnside(self, K, L, q, count):
         space = enumerate_space(Lattice2D(K, L, q, "periodic"))
-        labels, m = pt._translation_orbits(space)
+        labels, m = space.orbits(space.spec.unit_translations())
         assert m == count
         assert np.array_equal(np.unique(labels), np.arange(m))
 
     def test_open_floor_identity(self):
         space = enumerate_space(Lattice2D(2, 3, 2, "open"))
-        labels, m = pt._translation_orbits(space)
+        labels, m = space.orbits(space.spec.unit_translations())
         assert m == space.n_states
         assert np.array_equal(labels, np.arange(space.n_states))
 
     def test_energy_constant_on_orbits(self, space_2d_34):
-        labels, m = pt._translation_orbits(space_2d_34)
+        labels, m = space_2d_34.orbits(space_2d_34.spec.unit_translations())
         per_class = np.empty(m, dtype=space_2d_34.energies.dtype)
         per_class[labels] = space_2d_34.energies
         assert np.array_equal(per_class[labels], space_2d_34.energies)
 
     @pytest.mark.parametrize("beta", [2.0, 3.0])
     def test_lumped_solves_exact(self, space_2d_34, beta):
-        labels, m = pt._translation_orbits(space_2d_34)
+        labels, m = space_2d_34.orbits(space_2d_34.spec.unit_translations())
         g = space_2d_34.ground_states()
         chain = pt.chain_from_space(space_2d_34, beta)
         h = pt.equilibrium_potential(chain, [g[1]], [g[2]])
@@ -529,7 +529,7 @@ class TestTranslationLumping:
         assert pt.mean_hitting_exact(lumped, s, [t]) == pytest.approx(hit, rel=1e-10)
 
     def test_labels_constant_along_every_translation(self, space_2d_34):
-        labels, _ = pt._translation_orbits(space_2d_34)
+        labels, _ = space_2d_34.orbits(space_2d_34.spec.unit_translations())
         K, L, q = 3, 4, 2
         site = np.arange(K * L)
         k, l = site % K, site // K
@@ -542,7 +542,7 @@ class TestTranslationLumping:
     @pytest.mark.parametrize("K, L, q", [(3, 3, 3), (3, 4, 2)])
     def test_orbit_chain_is_the_lumped_chain(self, K, L, q, beta):
         space = enumerate_space(Lattice2D(K, L, q, "periodic"))
-        labels, m = pt._translation_orbits(space)
+        labels, m = space.orbits(space.spec.unit_translations())
         got = pt.chain_from_space(space.quotient(labels, m), beta)
         want = pt.chain_from_space(space, beta).lumped(labels, m)
         G, W = (sp.csr_matrix((c.cond, (c.src, c.dst)), shape=(m, m)) for c in (got, want))
@@ -554,7 +554,7 @@ class TestTranslationLumping:
 
     def test_orbit_chain_on_open_floor_is_the_full_chain(self):
         space = enumerate_space(Lattice2D(3, 3, 2, "open"))
-        labels, m = pt._translation_orbits(space)
+        labels, m = space.orbits(space.spec.unit_translations())
         got = pt.chain_from_space(space.quotient(labels, m), 3.0)
         want = pt.chain_from_space(space, 3.0)
         order = np.lexsort((want.dst, want.src))
@@ -586,7 +586,7 @@ class TestQuotient:
         # the floor space is freed once only its quotient is kept, which the
         # kappa2d memory bounds rest on
         space = enumerate_space(Lattice2D(3, 3, 2, "periodic"))
-        floor = space.quotient(*pt._translation_orbits(space))
+        floor = space.quotient(*space.orbits(space.spec.unit_translations()))
         alive = weakref.ref(space)
         del space
         assert alive() is None
@@ -719,7 +719,7 @@ class TestConstants:
     def test_orbit_barrier_is_the_floor_barrier(self, K, L, q):
         space = enumerate_space(Lattice2D(K, L, q, "periodic"))
         g = space.ground_states()
-        labels, m = pt._translation_orbits(space)
+        labels, m = space.orbits(space.spec.unit_translations())
         got = comm_height(space.quotient(labels, m), labels[g[1]], labels[g[2]])
         assert got == comm_height(space, g[1], g[2])
 
