@@ -57,7 +57,9 @@ class WeightedChain:
     ``mu`` is the invariant probability; conductance
     ``c_e = mu(x) r(x, y) = mu(y) r(y, x)`` is symmetric.  ``size`` counts
     the states of each node when the nodes are classes of states (the
-    chain of a :class:`~spinscape.landscape.Quotient`).
+    chain of a :class:`~spinscape.landscape.Quotient`).  The cached
+    :attr:`colouring`, a proper 2-colouring of the states when the edges
+    admit one, lets the Dirichlet solves eliminate one colour class.
     """
 
     n: int
@@ -81,6 +83,33 @@ class WeightedChain:
         space, beta = self.origin
         labels, quotient = space.symmetry_quotient()
         return labels, chain_from_space(quotient, beta)
+
+    @cached_property
+    def colouring(self) -> np.ndarray | None:
+        """A boolean per state such that every edge joins a ``True`` and a
+        ``False`` state, or ``None``.
+
+        Each state takes the opposite colour of one lower-numbered
+        neighbour (a state with none is a root, coloured ``False``): its
+        colour is the parity of its depth in that forest, found by pointer
+        jumping.  The result is kept only if every edge joins two colours,
+        so nothing about the space is assumed.  A q=2 single-flip chain is
+        two-coloured by the parity of its spin-2 count, and so is each of
+        its lattice-symmetry quotients (a symmetry keeps the count); their
+        states and classes are numbered so that every one but the first has
+        a lower neighbour, and this finds that colouring.  Chains at q >= 3
+        have odd cycles and get ``None``."""
+        parent = np.arange(self.n)
+        parent[np.maximum(self.src, self.dst)] = np.minimum(self.src, self.dst)
+        odd = parent != np.arange(self.n)  # the parity of the step to the parent
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):  # every state points to its root
+                break
+            odd ^= odd[parent]
+            parent = grand
+        del parent, grand
+        return None if np.any(odd[self.src] == odd[self.dst]) else odd
 
     def laplacian(self) -> sp.csr_matrix:
         """The symmetric conductance Laplacian ``L`` with
@@ -234,13 +263,16 @@ def dirichlet_generator(chain: WeightedChain, f: np.ndarray) -> float:
 #: Rows per block of the Jacobi scaling and of the extended-precision
 #: residual, so that neither holds a temporary the size of the matrix.
 _BLOCK_ROWS = 1024
+#: Rows per block of the two-colour residual, each of whose blocks also
+#: adds its transposed products into a vector over the whole other class
+_TWO_COLOUR_BLOCK_ROWS = 4096
 
 
-def _row_blocks(A: sp.csr_matrix):
+def _row_blocks(A: sp.csr_matrix, n_rows: int = _BLOCK_ROWS):
     """The rows, the entries and the block-local row pointers of each
-    ``_BLOCK_ROWS``-row block of a CSR matrix."""
-    for lo in range(0, A.shape[0], _BLOCK_ROWS):
-        ptr = A.indptr[lo:lo + _BLOCK_ROWS + 1]
+    ``n_rows``-row block of a CSR matrix."""
+    for lo in range(0, A.shape[0], n_rows):
+        ptr = A.indptr[lo:lo + n_rows + 1]
         yield slice(lo, lo + len(ptr) - 1), slice(ptr[0], ptr[-1]), ptr - ptr[0]
 
 
@@ -250,21 +282,34 @@ def _solve_dirichlet_problem(
     """Solve ``L f = rhs`` off the boundary with ``f = 1`` on ``ones_set``
     and ``f = 0`` on ``zeros_set`` (conductance-Laplacian formulation).
 
-    Only the reduced system is built: the Laplacian on the free states in
-    CSR with int32 indices (``WeightedChain._laplacian_on``), and a
-    right-hand side summed over the edges into ``ones_set`` alone (every
-    other edge adds +0.0).  One solver branch runs, chosen by the number
-    ``m`` of free states: a dense Cholesky factorization up to 255
-    unknowns, Jacobi-scaled conjugate gradients above, capped at ``m``
-    iterations (the bound at which CG terminates in exact arithmetic).
-    Either is followed by at most three rounds of iterative refinement on
-    extended-precision residuals, computed ``_BLOCK_ROWS`` rows at a
-    time, which stop once the componentwise backward error is below
-    2^-53; CG solves each correction to a relative residual of 1e-8.
+    Only the reduced system is built, with a right-hand side summed over
+    the edges into ``ones_set`` alone (every other edge adds +0.0).  One
+    solver branch runs, chosen by the number ``m`` of free states and the
+    chain's structure:
+
+    - up to 255 unknowns, a dense Cholesky factorization of the Laplacian
+      on the free states (``WeightedChain._laplacian_on``, CSR with int32
+      indices);
+    - above, on a chain with a :attr:`~WeightedChain.colouring`, conjugate
+      gradients on one colour class (the smaller): the other class is
+      eliminated exactly, and only the coupling ``C`` between the classes
+      is assembled, each free-free edge once, in int32 CSR
+      (``_two_colour_system``);
+    - above, on any other chain, Jacobi-scaled conjugate gradients on the
+      whole free system.
+
+    CG is capped at as many iterations as its system has unknowns (the
+    bound at which it terminates in exact arithmetic).  Every branch is
+    followed by at most three rounds of iterative refinement on
+    extended-precision residuals of the whole free system, computed one
+    block of rows at a time, which stop once the componentwise backward
+    error is below 2^-53; CG solves each correction to a relative
+    residual of 1e-8.
 
     Raises ``RuntimeError`` when a free state has zero total conductance
-    (its conductances underflowed), when the dense Cholesky factorization
-    fails or when conjugate gradients do not converge; no other solver runs.
+    (its conductances underflowed; checked before any solver runs), when
+    the dense Cholesky factorization fails or when conjugate gradients do
+    not converge; no other solver runs.
     """
     ones_set = np.atleast_1d(np.asarray(ones_set, dtype=np.int64))
     zeros_set = np.atleast_1d(np.asarray(zeros_set, dtype=np.int64))
@@ -274,10 +319,20 @@ def _solve_dirichlet_problem(
     free[np.concatenate([ones_set, zeros_set])] = False
     f = np.zeros(chain.n)
     f[ones_set] = 1.0
-    if not free.any():
+    m = np.count_nonzero(free)
+    if not m:
         return f
-    A = chain._laplacian_on(free)
-    m, diag = A.shape[0], A.diagonal()
+    # CG already beats the dense factorization at 510 unknowns and by 40x
+    # at 4,094 (README, Performance notes), and the threaded factorization
+    # stalled on the lumped 2x2x3 systems (376 unknowns).  Sparse LU is no
+    # option: state-space graphs are expander-like and fill in almost fully.
+    two_coloured = m > 255 and chain.colouring is not None
+    if two_coloured:
+        diag = chain._onto_ends(chain.cond, chain.cond)[free]
+    else:
+        A = chain._laplacian_on(free)
+        diag = A.diagonal()
+        residual = lambda x, rhs: _extended_residual(A, x, rhs, diag)  # noqa: E731
     isolated = diag == 0.0
     if isolated.any():  # counted in states, also on a lumped chain
         size = np.ones(m, dtype=np.int64) if chain.size is None else chain.size[free]
@@ -290,15 +345,14 @@ def _solve_dirichlet_problem(
     np.add.at(b, chain.src[into], chain.cond[into])
     into = f[chain.src] == 1.0
     np.add.at(b, chain.dst[into], chain.cond[into])
+    del into
     b = b[free]
     if rhs_extra is not None:
         b = b + rhs_extra[free]
 
-    # CG already beats the dense factorization at 510 unknowns and by 40x
-    # at 4,094 (README, Performance notes), and the threaded factorization
-    # stalled on the lumped 2x2x3 systems (376 unknowns).  Sparse LU is no
-    # option: state-space graphs are expander-like and fill in almost fully.
-    if m <= 255:
+    if two_coloured:
+        solve, residual = _two_colour_system(chain, free, diag)
+    elif m <= 255:
         # factored in place in its F-ordered array
         try:
             factor = cho_factor(A.toarray(order="F"), lower=True, overwrite_a=True)
@@ -329,12 +383,75 @@ def _solve_dirichlet_problem(
     # needs only modest relative accuracy: 1e-8 keeps the componentwise
     # backward error below 2e-16, where 1e-6 and 1e-4 do not
     for _ in range(3):
-        r, converged = _extended_residual(A, x, b, diag)
+        r, converged = residual(x, b)
         if converged:
             break
         x = x + solve(r, 1e-8)
     f[free] = x
     return f
+
+
+def _two_colour_system(chain: WeightedChain, free: np.ndarray, diag: np.ndarray):
+    """``(solve, residual)`` for the Laplacian on the ``free`` states of a
+    chain with a :attr:`~WeightedChain.colouring`, whose diagonal is
+    ``diag``.
+
+    With the free states split into the classes ``R`` and ``B`` of the
+    colouring (``B`` the smaller), the system is
+    ``[[D_r, -C], [-C^T, D_b]]``: no edge joins two states of one class.
+    Only ``C`` is assembled, one entry per free-free edge (repeated edges
+    summed), in CSR with int32 indices.  ``solve(rhs, rtol)`` runs
+    conjugate gradients on the Jacobi-scaled Schur complement of ``R``,
+    ``I - K^T K`` with ``K = D_r^-1/2 C D_b^-1/2``, whose eigenvalues pair
+    up with those of the scaled whole system (Property A), so CG needs
+    about half the iterations at the same cost per iteration, capped at
+    ``|B|``; then ``x_r = D_r^-1 (rhs_r + C x_b)``.  ``residual(x, rhs)``
+    is :func:`_extended_residual_two_colour`, on the whole system."""
+    colour = chain.colouring
+    idx = np.flatnonzero(free)
+    m = len(idx)
+    black_colour = 2 * np.count_nonzero(colour[idx]) <= m
+    black = colour[idx] == black_colour
+    red = ~black
+    m_b = np.count_nonzero(black)
+    m_r = m - m_b
+    pos = np.zeros(chain.n, dtype=np.int32)  # each free state's position in its class
+    pos[idx[red]] = np.arange(m_r, dtype=np.int32)
+    pos[idx[black]] = np.arange(m_b, dtype=np.int32)
+    del idx
+    both = free[chain.src] & free[chain.dst]
+    ends = chain.src[both]
+    row, flip = pos[ends], colour[ends] == black_colour  # a black source: swapped to (red, black)
+    ends = chain.dst[both]
+    col = pos[ends]
+    del ends, pos
+    cond = chain.cond[both]
+    del both
+    row[flip], col[flip] = col[flip], row[flip]
+    del flip
+    # scipy's counting sort groups the entries by row; chains that list
+    # their edges by increasing ends come out with sorted rows
+    C = sp.csr_matrix((cond, (row, col)), shape=(m_r, m_b))
+    del row, col, cond
+    Ct = C.T  # CSC, sharing C's arrays
+    inv_dr = 1.0 / diag[red]
+    sb = 1.0 / np.sqrt(diag[black])
+    S = spla.LinearOperator((m_b, m_b), dtype=np.float64,
+                            matvec=lambda y: y - sb * (Ct @ (inv_dr * (C @ (sb * y)))))
+
+    def solve(rhs, rtol):
+        rhs_r = rhs[red]
+        y, info = spla.cg(S, sb * (rhs[black] + Ct @ (inv_dr * rhs_r)),
+                          rtol=rtol, atol=0.0, maxiter=m_b)
+        if info != 0:  # the iteration count reached
+            raise RuntimeError(f"conjugate gradients did not converge on {m} "
+                               f"unknowns in {info} iterations")
+        x = np.empty(m)
+        x[black] = y = y * sb
+        x[red] = inv_dr * (rhs_r + C @ y)
+        return x
+
+    return solve, lambda x, rhs: _extended_residual_two_colour(C, red, x, rhs, diag)
 
 
 def _extended_residual(A: sp.csr_matrix, x: np.ndarray, b: np.ndarray,
@@ -360,6 +477,42 @@ def _extended_residual(A: sp.csr_matrix, x: np.ndarray, b: np.ndarray,
             bound = 2 * diag[rows].astype(np.longdouble) * abs_x[rows] - block @ abs_x
             converged = bool(np.all(np.abs(r_ld) <= 2.0 ** -53 * (bound + np.abs(b_ld))))
     return r, converged
+
+
+def _extended_residual_two_colour(C: sp.csr_matrix, red: np.ndarray, x: np.ndarray,
+                                  b: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, bool]:
+    """:func:`_extended_residual` of the system ``[[D_r, -C], [-C^T, D_b]]``
+    of :func:`_two_colour_system`, with ``red`` marking the free states
+    that are the rows of ``C``.  One block of rows of ``C`` at a time is
+    copied to extended precision; it gives those red rows their residual
+    and adds its transposed products to the black rows' sums, which are
+    finished last."""
+    black = ~red
+    x_r, b_r, d_r = x[red], b[red], diag[red]
+    x_b = x[black].astype(np.longdouble)
+    abs_b = np.abs(x_b)
+    d_b = diag[black].astype(np.longdouble)
+    # b - A x and |A||x| on the black rows, less b: C^T's products are added below
+    r_b, bound_b = -d_b * x_b, d_b * abs_b
+    del d_b
+    r_r = np.empty(len(x_r))
+    converged = True
+    for rows, entries, ptr in _row_blocks(C, _TWO_COLOUR_BLOCK_ROWS):
+        block = sp.csr_matrix((C.data[entries].astype(np.longdouble), C.indices[entries], ptr),
+                              shape=(len(ptr) - 1, C.shape[1]))
+        x_ld, d_ld, b_ld = (v[rows].astype(np.longdouble) for v in (x_r, d_r, b_r))
+        r_ld = b_ld - d_ld * x_ld + block @ x_b
+        r_r[rows] = r_ld
+        if converged:
+            bound = d_ld * np.abs(x_ld) + block @ abs_b
+            converged = bool(np.all(np.abs(r_ld) <= 2.0 ** -53 * (bound + np.abs(b_ld))))
+        r_b += block.T @ x_ld
+        bound_b += block.T @ np.abs(x_ld)
+    b_ld = b[black].astype(np.longdouble)
+    r_b += b_ld
+    r = np.empty(len(x))
+    r[red], r[black] = r_r, r_b
+    return r, converged and bool(np.all(np.abs(r_b) <= 2.0 ** -53 * (bound_b + np.abs(b_ld))))
 
 
 def _symmetry_lumping_for(chain: WeightedChain, P, Q):
@@ -424,12 +577,15 @@ def mean_hitting_exact(chain: WeightedChain, s: int, target, method: str = "capa
 
     ``method="capacity"``: ``(1/Cap) * sum_x mu(x) h(x)`` with ``h`` the
     equilibrium potential of ``({s}, target)``.  ``method="direct"``:
-    solve the mean-hitting linear system.  The two agree to high relative
-    accuracy on well-conditioned instances.  Either route raises
-    ``RuntimeError`` when its solve fails (see ``_solve_dirichlet_problem``),
-    as the direct route does at large ``beta``: its dense factorization
-    fails up to 255 unknowns, and above that conjugate gradients do not
-    converge.
+    solve the mean-hitting linear system on the chain's states, which is
+    never lumped.  The two agree to high relative accuracy on
+    well-conditioned instances.  Above 255 unknowns on a chain with a
+    :attr:`~WeightedChain.colouring` (every q=2 chain), both routes solve by
+    conjugate gradients on one colour class, with the other eliminated
+    (see ``_solve_dirichlet_problem``).  Either route raises
+    ``RuntimeError`` when its solve fails, as the direct route does at
+    large ``beta``: its dense factorization fails up to 255 unknowns, and
+    above that conjugate gradients do not converge.
     """
     target = np.atleast_1d(np.asarray(target, dtype=np.int64))
     if method == "capacity":

@@ -239,6 +239,21 @@ class TestReducedSystem:
             tracemalloc.stop()
         assert peak <= 600 * (chain.n - 2)
 
+    def test_direct_solve_traced_peak_per_unknown(self, space_224_open):
+        # a direct-route solve on a two-coloured chain, its colouring found
+        # inside: the coupling between the classes is the only matrix, so the
+        # traced peak is about 255 B per unknown (while assembling it),
+        # against 456 B with the Laplacian and its Jacobi-scaled copy
+        chain = pt.chain_from_space(space_224_open, 3.0)
+        g = space_224_open.ground_states()
+        tracemalloc.start()
+        try:
+            pt.mean_hitting_exact(chain, g[1], [g[2]], "direct")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 320 * (chain.n - 1)
+
 
 class TestConjugateGradientBranch:
     """Systems above 255 unknowns are solved by conjugate gradients."""
@@ -281,6 +296,83 @@ class TestConjugateGradientBranch:
             A_ld, x_ld, b_ld = (v.astype(np.longdouble) for v in (A, x[idx], b))
             err = np.abs(b_ld - A_ld @ x_ld) / (abs(A_ld) @ np.abs(x_ld) + np.abs(b_ld))
             assert np.max(err) <= 2e-16
+
+
+def _backward_error(chain, ones, zeros, extra=None):
+    """The largest componentwise backward error of the solver's answer to
+    the Dirichlet problem, against the system of ``_reduced_system``."""
+    x = pt._solve_dirichlet_problem(chain, ones, zeros, extra)
+    A, b, idx = _reduced_system(chain, ones, zeros, extra)
+    A_ld, x_ld, b_ld = (v.astype(np.longdouble) for v in (A, x[idx], b))
+    return np.max(np.abs(b_ld - A_ld @ x_ld) / (abs(A_ld) @ np.abs(x_ld) + np.abs(b_ld)))
+
+
+class TestColouring:
+    """A chain's two-colouring, which lets the solver eliminate one class,
+    is found from its edges alone: the parity of the spin-2 count at q=2,
+    on states and on symmetry quotients, and none at q >= 3."""
+
+    @pytest.mark.parametrize("spec, group, count", [
+        (LatticeSpec(2, 2, 3, 2, "open"), "states", 4096),
+        (LatticeSpec(2, 2, 3, 2, "open"), "symmetry", 378),
+        (LatticeSpec(2, 2, 4, 2, "open"), "states", 65536),
+        (LatticeSpec(2, 2, 4, 2, "open"), "symmetry", 4756),
+        (Lattice2D(3, 4, 2, "periodic"), "translation", 352),
+    ], ids=["223-states", "223-symmetry", "224-states", "224-symmetry", "3x4-translation"])
+    def test_q2_spin_parity(self, spec, group, count):
+        space = enumerate_space(spec)
+        if group == "states":
+            labels, nodes = np.arange(space.n_states), space
+        elif group == "symmetry":
+            labels, nodes = space.symmetry_quotient()
+        else:
+            labels, m = space.orbits(space.spec.unit_translations())
+            nodes = space.quotient(labels, m)
+        chain = pt.chain_from_space(nodes, 3.0)
+        assert chain.n == count
+        parity = space.spins_matrix.sum(axis=1) % 2 == 1
+        per_node = np.empty(chain.n, dtype=bool)
+        per_node[labels] = parity
+        assert np.array_equal(per_node[labels], parity)  # a class keeps its parity
+        colour = chain.colouring
+        assert colour is not None and colour.dtype == bool
+        assert np.array_equal(colour, per_node) or np.array_equal(colour, ~per_node)
+
+    @pytest.mark.parametrize("which", ["222q3-states", "222q3-symmetry", "3x4q3-translation",
+                                       "224-aux"])
+    def test_none_with_odd_cycles(self, which, space_224_open):
+        if which == "224-aux":
+            _, chain = pt.build_aux_chain(typical_sets(space_224_open, A=(1,), B=(2,)))
+        elif which == "3x4q3-translation":
+            space = enumerate_space(Lattice2D(3, 4, 3, "periodic"))
+            chain = pt.chain_from_space(space.quotient(*space.orbits(space.spec.unit_translations())),
+                                        4.0)
+            assert chain.n == 44368
+        else:
+            chain = pt.chain_from_space(enumerate_space(LatticeSpec(2, 2, 2, 3, "open")), 3.0)
+            if which == "222q3-symmetry":
+                chain = chain.symmetry_lumping[1]
+                assert chain.n == 267
+        assert chain.colouring is None
+
+    def test_same_colour_edge_solves_the_whole_system(self, space_223_open):
+        # one added edge between two states of one spin-2 parity leaves no
+        # colouring, so the 4,094 unknowns are solved by the whole-system
+        # conjugate gradients, which must still match the dense oracle
+        chain = pt.chain_from_space(space_223_open, 3.0)
+        g = space_223_open.ground_states()
+        a, b = 1, 2  # one spin 2 each
+        raw = pt.WeightedChain(chain.n, np.r_[chain.src, a], np.r_[chain.dst, b],
+                               np.r_[chain.cond, chain.cond[0]], chain.mu)
+        assert chain.colouring is not None and raw.colouring is None
+        A, rhs, idx = _reduced_system(raw, [g[1]], [g[2]])
+        h_or = np.zeros(raw.n)
+        h_or[g[1]] = 1.0
+        h_or[idx] = _dense_oracle(A, rhs)
+        h = pt.equilibrium_potential(raw, [g[1]], [g[2]])
+        assert np.max(np.abs(h - h_or)) <= 1e-12
+        cap_or = np.sum(raw.cond * (h_or[raw.dst] - h_or[raw.src]) ** 2)
+        assert pt.capacity(raw, [g[1]], [g[2]]) == pytest.approx(cap_or, rel=1e-12, abs=0)
 
 
 class TestRefinementStop:
@@ -688,6 +780,21 @@ class TestSymmetryLumping:
         raw = pt.WeightedChain(chain.n, chain.src, chain.dst, chain.cond, chain.mu)
         h = pt.equilibrium_potential(chain, [s], [g[2]])
         assert h.tobytes() == pt.equilibrium_potential(raw, [s], [g[2]]).tobytes()
+        m_cap = pt.mean_hitting_exact(chain, s, [g[2]], method="capacity")
+        m_dir = pt.mean_hitting_exact(chain, s, [g[2]], method="direct")
+        assert abs(m_cap - m_dir) / m_cap < 1e-8
+
+    def test_seeded_source_solved_on_states_224(self, space_224_open):
+        # the kind of source the benchmark seeds: one state at energy 10, no
+        # union of orbits, so both routes solve 65,534-65,535 unknowns on the
+        # two-coloured states
+        g = space_224_open.ground_states()
+        s = int(np.flatnonzero(space_224_open.energies == 10)[0])
+        chain = pt.chain_from_space(space_224_open, 3.0)
+        assert pt.potential_classes(chain, [s], [g[2]]) == chain.n
+        assert chain.colouring is not None
+        assert _backward_error(chain, [s], [g[2]]) <= 2e-16
+        assert _backward_error(chain, [], [g[2]], chain.mu) <= 2e-16
         m_cap = pt.mean_hitting_exact(chain, s, [g[2]], method="capacity")
         m_dir = pt.mean_hitting_exact(chain, s, [g[2]], method="direct")
         assert abs(m_cap - m_dir) / m_cap < 1e-8
