@@ -169,7 +169,7 @@ class StateSpace:
         return Quotient(
             energies=self.energies[rep], size=np.bincount(labels, minlength=m),
             moves=labels[self.moves_from(rep)],
-            grounds={a: int(labels[s]) for a, s in self.ground_states().items()})
+            grounds={a: int(labels[s]) for a, s in self.ground_states().items()}, q=self.q)
 
 
 @dataclass
@@ -195,6 +195,7 @@ class Quotient:
     size: np.ndarray  # (m,) number of states in each class
     moves: np.ndarray  # (m, n_moves) int32 class reached by each move of a representative
     grounds: dict  # spin a -> class of the constant-a configuration
+    q: int  # spin values per site of the space
 
     @property
     def n_states(self) -> int:

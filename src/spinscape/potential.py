@@ -59,7 +59,8 @@ class WeightedChain:
     the states of each node when the nodes are classes of states (the
     chain of a :class:`~spinscape.landscape.Quotient`).  The cached
     :attr:`colouring`, a proper 2-colouring of the states when the edges
-    admit one, lets the Dirichlet solves eliminate one colour class.
+    admit one, lets the Dirichlet solves eliminate one colour class;
+    :func:`chain_from_space` records a q >= 3 chain's ``None`` in it.
     """
 
     n: int
@@ -98,7 +99,8 @@ class WeightedChain:
         its lattice-symmetry quotients (a symmetry keeps the count); their
         states and classes are numbered so that every one but the first has
         a lower neighbour, and this finds that colouring.  Chains at q >= 3
-        have odd cycles and get ``None``."""
+        have odd cycles and get ``None``, which :func:`chain_from_space`
+        records without running this."""
         parent = np.arange(self.n)
         parent[np.maximum(self.src, self.dst)] = np.minimum(self.src, self.dst)
         odd = parent != np.arange(self.n)  # the parity of the step to the parent
@@ -209,7 +211,13 @@ def chain_from_space(space: StateSpace | Quotient, beta: float) -> WeightedChain
     (on an enumerated space no pair repeats).  Every edge is listed once
     from its lower end, in increasing order of both ends.
     A chain of an enumerated space records it as its ``origin``, from
-    which :attr:`WeightedChain.symmetry_lumping` is built."""
+    which :attr:`WeightedChain.symmetry_lumping` is built.
+
+    At q >= 3 the chain records that it has no
+    :attr:`~WeightedChain.colouring`.  The recolourings of one site to
+    three of its values are pairwise adjacent, a triangle.  A symmetry of
+    the sites keeps spin counts, in which those three states differ, so
+    they lie in three classes of any quotient, which form a triangle too."""
     moves = space.move_table()
     m = len(moves)
     size = space.size if isinstance(space, Quotient) else None
@@ -230,9 +238,12 @@ def chain_from_space(space: StateSpace | Quotient, beta: float) -> WeightedChain
         # one state per class: the targets of a row are distinct and increase along it
         chain = WeightedChain(n=m, src=frm, dst=to, cond=cond, mu=w / Z)
         chain.origin = (space, beta)
-        return chain
-    c = sp.csr_matrix((cond, (frm, to)), shape=(m, m)).tocoo()  # summed per pair
-    return WeightedChain(n=m, src=c.row, dst=c.col, cond=c.data, mu=w / Z, size=size)
+    else:
+        c = sp.csr_matrix((cond, (frm, to)), shape=(m, m)).tocoo()  # summed per pair
+        chain = WeightedChain(n=m, src=c.row, dst=c.col, cond=c.data, mu=w / Z, size=size)
+    if space.q >= 3:
+        chain.colouring = None
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +252,8 @@ def chain_from_space(space: StateSpace | Quotient, beta: float) -> WeightedChain
 
 def dirichlet(chain: WeightedChain, f: np.ndarray) -> float:
     """``(1/2) sum mu r (f(x) - f(y))^2`` over ordered state pairs."""
-    return dirichlet_bilinear(chain, f, f)
+    df = f[chain.dst] - f[chain.src]
+    return float(np.sum(chain.cond * df * df))
 
 
 def dirichlet_bilinear(chain: WeightedChain, f: np.ndarray, g: np.ndarray) -> float:
@@ -277,7 +289,8 @@ def _row_blocks(A: sp.csr_matrix, n_rows: int = _BLOCK_ROWS):
 
 
 def _solve_dirichlet_problem(
-    chain: WeightedChain, ones_set, zeros_set, rhs_extra: np.ndarray | None = None
+    chain: WeightedChain, ones_set, zeros_set, rhs_extra: np.ndarray | None = None,
+    lumping: tuple[np.ndarray, WeightedChain] | None = None,
 ) -> np.ndarray:
     """Solve ``L f = rhs`` off the boundary with ``f = 1`` on ``ones_set``
     and ``f = 0`` on ``zeros_set`` (conductance-Laplacian formulation).
@@ -306,10 +319,18 @@ def _solve_dirichlet_problem(
     error is below 2^-53; CG solves each correction to a relative
     residual of 1e-8.
 
+    ``lumping``, a ``(labels, chain)`` pair as
+    :attr:`WeightedChain.symmetry_lumping` gives, whose classes the
+    boundary sets and ``rhs_extra`` are invariant on, starts the CG
+    branches' refinement from the lumped problem's solution (its data
+    summed per class), lifted to the states, instead of from a solve on
+    the states.  The dense branch ignores it.
+
     Raises ``RuntimeError`` when a free state has zero total conductance
     (its conductances underflowed; checked before any solver runs), when
-    the dense Cholesky factorization fails or when conjugate gradients do
-    not converge; no other solver runs.
+    the dense Cholesky factorization fails, when conjugate gradients do
+    not converge or when the lumped solve of a warm start fails; no other
+    solver runs.
     """
     ones_set = np.atleast_1d(np.asarray(ones_set, dtype=np.int64))
     zeros_set = np.atleast_1d(np.asarray(zeros_set, dtype=np.int64))
@@ -378,7 +399,10 @@ def _solve_dirichlet_problem(
                                    f"unknowns in {info} iterations")
             return y * dh
 
-    x = solve(b, 1e-15)
+    if lumping is None or m <= 255:
+        x = solve(b, 1e-15)
+    else:
+        x = _warm_start(lumping, ones_set, zeros_set, rhs_extra, m)[free]
     # iterative refinement with extended-precision residuals; a correction
     # needs only modest relative accuracy: 1e-8 keeps the componentwise
     # backward error below 2e-16, where 1e-6 and 1e-4 do not
@@ -389,6 +413,23 @@ def _solve_dirichlet_problem(
         x = x + solve(r, 1e-8)
     f[free] = x
     return f
+
+
+def _warm_start(lumping, ones_set: np.ndarray, zeros_set: np.ndarray,
+                rhs_extra: np.ndarray | None, m: int) -> np.ndarray:
+    """The solution of the Dirichlet problem lumped by ``lumping``,
+    lifted to the states.  Its failure is the failure of the state solve
+    on ``m`` unknowns: the ``RuntimeError`` names them, then the free
+    classes."""
+    labels, lumped = lumping
+    ones_l, zeros_l = labels[ones_set], labels[zeros_set]
+    extra = None if rhs_extra is None else np.bincount(labels, rhs_extra, minlength=lumped.n)
+    try:
+        return _solve_dirichlet_problem(lumped, ones_l, zeros_l, extra)[labels]
+    except RuntimeError as err:
+        m_l = lumped.n - len(np.unique(np.r_[ones_l, zeros_l]))
+        raise RuntimeError(f"conjugate gradients did not converge on {m} unknowns: the warm "
+                           f"start on {m_l} classes failed: {err}") from err
 
 
 def _two_colour_system(chain: WeightedChain, free: np.ndarray, diag: np.ndarray):
@@ -458,24 +499,24 @@ def _extended_residual(A: sp.csr_matrix, x: np.ndarray, b: np.ndarray,
                        diag: np.ndarray) -> tuple[np.ndarray, bool]:
     """``b - A x`` evaluated in ``np.longdouble`` and rounded to float64,
     and whether it meets the componentwise (Oettli-Prager) bound
-    ``|r| <= 2^-53 (|A||x| + |b|)``; off the diagonal A is nonpositive, so
-    ``|A||x| = 2 diag |x| - A|x|``.  One block of rows at a time is copied
-    to extended precision; each row sums its entries in column order, as
-    a product with the whole matrix would."""
+    ``|r| <= 2^-53 (|A||x| + |b|)``.  Only the residual needs extended
+    precision: one block of rows at a time is copied to it, and each row
+    sums its entries in column order, as a product with the whole matrix
+    would.  The bound is a float64 product with the whole matrix; off
+    the diagonal A is nonpositive, so ``|A||x| = 2 diag |x| - A|x|``."""
     m = len(x)
+    abs_x = np.abs(x)
+    tol = 2.0 ** -53 * (2 * diag * abs_x - A @ abs_x + np.abs(b))
+    del abs_x
     x_ld = x.astype(np.longdouble)
-    abs_x = np.abs(x_ld)
     r = np.empty(m)
     converged = True
     for rows, entries, ptr in _row_blocks(A):
         block = sp.csr_matrix((A.data[entries].astype(np.longdouble), A.indices[entries], ptr),
                               shape=(len(ptr) - 1, m))
-        b_ld = b[rows].astype(np.longdouble)
-        r_ld = b_ld - block @ x_ld
+        r_ld = b[rows].astype(np.longdouble) - block @ x_ld
         r[rows] = r_ld
-        if converged:
-            bound = 2 * diag[rows].astype(np.longdouble) * abs_x[rows] - block @ abs_x
-            converged = bool(np.all(np.abs(r_ld) <= 2.0 ** -53 * (bound + np.abs(b_ld))))
+        converged = converged and bool(np.all(np.abs(r_ld) <= tol[rows]))
     return r, converged
 
 
@@ -486,15 +527,17 @@ def _extended_residual_two_colour(C: sp.csr_matrix, red: np.ndarray, x: np.ndarr
     that are the rows of ``C``.  One block of rows of ``C`` at a time is
     copied to extended precision; it gives those red rows their residual
     and adds its transposed products to the black rows' sums, which are
-    finished last."""
+    finished last.  The bound ``|A||x| + |b|`` takes float64 products
+    with the whole of ``C`` and ``C^T``, whose entries are positive."""
     black = ~red
     x_r, b_r, d_r = x[red], b[red], diag[red]
+    abs_r, abs_b = np.abs(x_r), np.abs(x[black])
+    tol_r = 2.0 ** -53 * (d_r * abs_r + C @ abs_b + np.abs(b_r))
+    tol_b = 2.0 ** -53 * (diag[black] * abs_b + C.T @ abs_r + np.abs(b[black]))
+    del abs_r, abs_b
     x_b = x[black].astype(np.longdouble)
-    abs_b = np.abs(x_b)
-    d_b = diag[black].astype(np.longdouble)
-    # b - A x and |A||x| on the black rows, less b: C^T's products are added below
-    r_b, bound_b = -d_b * x_b, d_b * abs_b
-    del d_b
+    # b - A x on the black rows, less b: C^T's products are added below
+    r_b = -diag[black].astype(np.longdouble) * x_b
     r_r = np.empty(len(x_r))
     converged = True
     for rows, entries, ptr in _row_blocks(C, _TWO_COLOUR_BLOCK_ROWS):
@@ -503,16 +546,12 @@ def _extended_residual_two_colour(C: sp.csr_matrix, red: np.ndarray, x: np.ndarr
         x_ld, d_ld, b_ld = (v[rows].astype(np.longdouble) for v in (x_r, d_r, b_r))
         r_ld = b_ld - d_ld * x_ld + block @ x_b
         r_r[rows] = r_ld
-        if converged:
-            bound = d_ld * np.abs(x_ld) + block @ abs_b
-            converged = bool(np.all(np.abs(r_ld) <= 2.0 ** -53 * (bound + np.abs(b_ld))))
+        converged = converged and bool(np.all(np.abs(r_ld) <= tol_r[rows]))
         r_b += block.T @ x_ld
-        bound_b += block.T @ np.abs(x_ld)
-    b_ld = b[black].astype(np.longdouble)
-    r_b += b_ld
+    r_b += b[black].astype(np.longdouble)
     r = np.empty(len(x))
     r[red], r[black] = r_r, r_b
-    return r, converged and bool(np.all(np.abs(r_b) <= 2.0 ** -53 * (bound_b + np.abs(b_ld))))
+    return r, converged and bool(np.all(np.abs(r_b) <= tol_b))
 
 
 def _symmetry_lumping_for(chain: WeightedChain, P, Q):
@@ -530,6 +569,23 @@ def _symmetry_lumping_for(chain: WeightedChain, P, Q):
     return lumping
 
 
+def _potential(chain: WeightedChain, P, Q) -> np.ndarray:
+    """The equilibrium potential of ``(P, Q)`` on the chain's own nodes,
+    clipped to ``[0, 1]``."""
+    return np.clip(_solve_dirichlet_problem(chain, P, Q), 0.0, 1.0)
+
+
+def _potential_nodes(chain: WeightedChain, P, Q):
+    """``(nodes, h, labels)``: the chain ``h`` is solved on, ``h`` on its
+    nodes, and the class of each state (``None`` when the nodes are the
+    chain's states), as :func:`equilibrium_potential` describes."""
+    lumping = _symmetry_lumping_for(chain, P, Q)
+    if lumping is None:
+        return chain, _potential(chain, P, Q), None
+    labels, lumped = lumping
+    return lumped, _potential(lumped, labels[P], labels[Q]), labels
+
+
 def equilibrium_potential(chain: WeightedChain, P, Q) -> np.ndarray:
     """``h(x) = P_x[hit P before Q]``: harmonic off ``P | Q`` with boundary
     values 1 on ``P`` and 0 on ``Q``.
@@ -540,13 +596,8 @@ def equilibrium_potential(chain: WeightedChain, P, Q) -> np.ndarray:
     solved on the lumped chain (:attr:`WeightedChain.symmetry_lumping`)
     and spread back to the states.  Any other problem is solved on the
     chain's states."""
-    lumping = _symmetry_lumping_for(chain, P, Q)
-    if lumping is None:
-        h = _solve_dirichlet_problem(chain, P, Q)
-    else:
-        labels, lumped = lumping
-        h = _solve_dirichlet_problem(lumped, labels[P], labels[Q])[labels]
-    return np.clip(h, 0.0, 1.0)
+    _, h, labels = _potential_nodes(chain, P, Q)
+    return h if labels is None else h[labels]
 
 
 def potential_classes(chain: WeightedChain, P, Q) -> int:
@@ -558,9 +609,15 @@ def potential_classes(chain: WeightedChain, P, Q) -> int:
 
 
 def capacity(chain: WeightedChain, P, Q) -> float:
-    """Dirichlet form of the equilibrium potential between ``P`` and ``Q``."""
-    h = equilibrium_potential(chain, P, Q)
-    return dirichlet(chain, h)
+    """Dirichlet form of the equilibrium potential between ``P`` and ``Q``.
+
+    When :func:`equilibrium_potential` solves on the lumped chain, the
+    form is evaluated there too, on the classes' potential, never spread
+    to the states: ``h`` is constant on classes, so the edges inside a
+    class add nothing and those between two classes add their summed
+    conductance times one squared difference."""
+    nodes, h, _ = _potential_nodes(chain, P, Q)
+    return dirichlet(nodes, h)
 
 
 def unit_current(chain: WeightedChain, h: np.ndarray) -> np.ndarray:
@@ -576,32 +633,41 @@ def mean_hitting_exact(chain: WeightedChain, s: int, target, method: str = "capa
     """Expected hitting time of ``target`` from state ``s``.
 
     ``method="capacity"``: ``(1/Cap) * sum_x mu(x) h(x)`` with ``h`` the
-    equilibrium potential of ``({s}, target)``.  ``method="direct"``:
-    solve the mean-hitting linear system on the chain's states, which is
-    never lumped.  The two agree to high relative accuracy on
-    well-conditioned instances.  Above 255 unknowns on a chain with a
+    equilibrium potential of ``({s}, target)``, both sums taken on the
+    lumped chain when ``h`` is solved there (see :func:`capacity`).
+    ``method="direct"``: solve the mean-hitting linear system on the
+    chain's states, and certify it there by the refinement's
+    componentwise backward error.  When ``target`` is a union of
+    lattice-symmetry orbits and the system takes a conjugate-gradient
+    branch, the solve starts from the lumped system's solution, which is
+    exact in exact arithmetic (strong lumpability), instead of from a
+    solve on the states; the refinement still runs on the states.  The
+    two routes agree to high relative accuracy on well-conditioned
+    instances.  Above 255 unknowns on a chain with a
     :attr:`~WeightedChain.colouring` (every q=2 chain), both routes solve by
     conjugate gradients on one colour class, with the other eliminated
     (see ``_solve_dirichlet_problem``).  Either route raises
     ``RuntimeError`` when its solve fails, as the direct route does at
     large ``beta``: its dense factorization fails up to 255 unknowns, and
-    above that conjugate gradients do not converge.
+    above that conjugate gradients do not converge, on the states or in
+    the lumped start, which is never replaced by a cold start.
     """
     target = np.atleast_1d(np.asarray(target, dtype=np.int64))
     if method == "capacity":
-        h = equilibrium_potential(chain, [s], target)
-        cap = dirichlet(chain, h)
-        return float(np.sum(chain.mu * h) / cap)
+        nodes, h, _ = _potential_nodes(chain, [s], target)
+        return float(np.sum(nodes.mu * h) / dirichlet(nodes, h))
     if method == "direct":
-        # (L u)|free = mu  (conductance-symmetrized), u = 0 on the target
-        u = _solve_dirichlet_problem(
-            chain,
-            ones_set=np.empty(0, dtype=np.int64),
-            zeros_set=target,
-            rhs_extra=chain.mu,
-        )
-        return float(u[s])
+        return float(_mean_hitting_times(chain, target)[s])
     raise ValueError(f"unknown method {method!r}")
+
+
+def _mean_hitting_times(chain: WeightedChain, target: np.ndarray) -> np.ndarray:
+    """The direct route's ``u(x) = E_x[tau_target]`` at every state:
+    ``(L u)|free = mu`` (conductance-symmetrized), ``u = 0`` on the
+    target, warm-started from the lumped system when the target is a
+    union of orbits."""
+    return _solve_dirichlet_problem(chain, np.empty(0, dtype=np.int64), target, chain.mu,
+                                    lumping=_symmetry_lumping_for(chain, target, []))
 
 
 # ---------------------------------------------------------------------------
@@ -619,15 +685,22 @@ def spectral_gap(space: StateSpace, beta: float, method: str = "auto") -> float:
     eigenvalues drown in round-off.  ``"auto"`` picks dense only when the
     eigenvalue is safely above the dense round-off floor.  Dense is refused
     when its two float64 ``n x n`` arrays, the Laplacian scaled in place
-    and the eigensolver's working copy, would exceed 1 GiB."""
+    and the eigensolver's working copy, would exceed 1 GiB.
+
+    The variational method builds only the chain of the space's
+    lattice-symmetry quotient, never the states' chain: each basis
+    problem, one ground state against the others, has unions of orbits
+    as its sets, so its potential is constant on orbits (see
+    :func:`equilibrium_potential`), and the Ritz matrices' forms and
+    sums are taken on the classes."""
     n = space.n_states
     if method == "auto":
         method = "dense" if beta * int(space.energies.max()) <= 25 else "variational"
     if method == "dense" and 16 * n ** 2 > 2 ** 30:
         raise ValueError(f"the dense spectral gap on {n} states needs {16 * n ** 2} bytes, "
                          f"over {2 ** 30}; use method='variational'")
-    chain = chain_from_space(space, beta)
     if method == "dense":
+        chain = chain_from_space(space, beta)
         # S = W^-1/2 L W^-1/2, overwriting L
         S = chain.laplacian().toarray()
         s = np.sqrt(chain.mu)
@@ -636,14 +709,12 @@ def spectral_gap(space: StateSpace, beta: float, method: str = "auto") -> float:
         vals = np.linalg.eigvalsh(S)
         return float(vals[1])
     if method == "variational":
-        grounds = space.ground_states()
-        gs = sorted(grounds.values())
+        quotient = space.symmetry_quotient()[1]
+        gs = sorted(quotient.ground_states().values())
         if len(gs) < 2:
             raise ValueError("variational gap needs at least two ground states")
-        basis = []
-        for g in gs[1:]:
-            others = [x for x in gs if x != g]
-            basis.append(equilibrium_potential(chain, [g], others))
+        chain = chain_from_space(quotient, beta)
+        basis = [_potential(chain, [g], [x for x in gs if x != g]) for g in gs[1:]]
         A = np.empty((len(basis), len(basis)))
         B = np.empty_like(A)
         mu = chain.mu

@@ -301,7 +301,12 @@ class TestConjugateGradientBranch:
 def _backward_error(chain, ones, zeros, extra=None):
     """The largest componentwise backward error of the solver's answer to
     the Dirichlet problem, against the system of ``_reduced_system``."""
-    x = pt._solve_dirichlet_problem(chain, ones, zeros, extra)
+    return _backward_error_of(pt._solve_dirichlet_problem(chain, ones, zeros, extra),
+                              chain, ones, zeros, extra)
+
+
+def _backward_error_of(x, chain, ones, zeros, extra=None):
+    """:func:`_backward_error` of the answer ``x``, given on every state."""
     A, b, idx = _reduced_system(chain, ones, zeros, extra)
     A_ld, x_ld, b_ld = (v.astype(np.longdouble) for v in (A, x[idx], b))
     return np.max(np.abs(b_ld - A_ld @ x_ld) / (abs(A_ld) @ np.abs(x_ld) + np.abs(b_ld)))
@@ -354,6 +359,22 @@ class TestColouring:
                 chain = chain.symmetry_lumping[1]
                 assert chain.n == 267
         assert chain.colouring is None
+
+    @pytest.mark.parametrize("which", ["222q3-states", "222q3-symmetry", "3x3q3-translation"])
+    def test_q3_builder_records_none(self, which):
+        # chain_from_space records the q >= 3 refusal without looking for a
+        # colouring, and the search over the edges agrees with it
+        if which == "3x3q3-translation":
+            space = enumerate_space(Lattice2D(3, 3, 3, "periodic"))
+            nodes = space.quotient(*space.orbits(space.spec.unit_translations()))
+        else:
+            space = enumerate_space(LatticeSpec(2, 2, 2, 3, "open"))
+            nodes = space.symmetry_quotient()[1] if which == "222q3-symmetry" else space
+        chain = pt.chain_from_space(nodes, 3.0)
+        assert "colouring" in vars(chain) and chain.colouring is None
+        assert pt.WeightedChain.colouring.func(chain) is None
+        assert "colouring" not in vars(pt.chain_from_space(enumerate_space(
+            LatticeSpec(2, 2, 2, 2, "open")), 3.0))
 
     def test_same_colour_edge_solves_the_whole_system(self, space_223_open):
         # one added edge between two states of one spin-2 parity leaves no
@@ -813,6 +834,92 @@ class TestSymmetryLumping:
             A_ld, x_ld, b_ld = (v.astype(np.longdouble) for v in (A, x[idx], b))
             err = np.abs(b_ld - A_ld @ x_ld) / (abs(A_ld) @ np.abs(x_ld) + np.abs(b_ld))
             assert np.max(err) <= 2e-16
+
+
+def _state_ritz_gap(space, beta):
+    """The variational gap's Ritz problem assembled on the states' chain:
+    the same basis potentials, lifted to the states."""
+    chain = pt.chain_from_space(space, beta)
+    gs = sorted(space.ground_states().values())
+    basis = [pt.equilibrium_potential(chain, [g], [x for x in gs if x != g]) for g in gs[1:]]
+    means = [np.sum(chain.mu * f) for f in basis]
+    A = np.array([[pt.dirichlet_bilinear(chain, f, k) for k in basis] for f in basis])
+    B = np.array([[np.sum(chain.mu * f * k) - mf * mk for k, mk in zip(basis, means)]
+                  for f, mf in zip(basis, means)])
+    return sla.eigh(A, B, eigvals_only=True)[0]
+
+
+class TestQuotientFirst:
+    """Lumped problems are evaluated on the classes, and the direct route
+    is solved and certified on the states from a lumped start."""
+
+    @pytest.mark.parametrize("beta", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("name", ["space_223_open", "space_224_open"])
+    def test_lumped_evaluation_equals_the_states(self, request, name, beta):
+        space = request.getfixturevalue(name)
+        g = space.ground_states()
+        chain = pt.chain_from_space(space, beta)
+        h = pt.equilibrium_potential(chain, [g[1]], [g[2]])
+        cap = pt.dirichlet(chain, h)
+        assert pt.capacity(chain, [g[1]], [g[2]]) == pytest.approx(cap, rel=1e-13, abs=0)
+        assert pt.mean_hitting_exact(chain, g[1], [g[2]]) == pytest.approx(
+            np.sum(chain.mu * h) / cap, rel=1e-13, abs=0)
+        assert pt.spectral_gap(space, beta, method="variational") == pytest.approx(
+            _state_ritz_gap(space, beta), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("dims, beta", [
+        ((2, 2, 4, 2), 2.0), ((2, 2, 4, 2), 3.0), ((2, 2, 4, 2), 4.0), ((2, 2, 2, 3), 2.0),
+    ], ids=["224-beta2", "224-beta3", "224-beta4", "222q3-beta2"])
+    def test_direct_route_certified_on_the_states(self, request, dims, beta):
+        # the warm-started vector meets the refinement's bound on every
+        # state, on one colour class (q=2) and on the whole system (q=3)
+        space = (request.getfixturevalue("space_224_open") if dims == (2, 2, 4, 2)
+                 else enumerate_space(LatticeSpec(*dims, "open")))
+        chain = pt.chain_from_space(space, beta)
+        assert (chain.colouring is None) == (dims[3] == 3)
+        target = [space.ground_states()[2]]
+        assert pt.potential_classes(chain, [], target) < chain.n  # the start is lumped
+        u = pt._mean_hitting_times(chain, np.array(target))
+        assert _backward_error_of(u, chain, [], target, chain.mu) <= 2e-16
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-1])
+    @pytest.mark.parametrize("beta", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("name", ["space_223_open", "space_224_open"])
+    def test_wrong_lumped_start_is_refined_away(self, request, name, beta, eps):
+        # lumped conductances perturbed by up to eps move the start, never
+        # the answer: the state refinement removes the error
+        space = request.getfixturevalue(name)
+        g = space.ground_states()
+        want = pt.mean_hitting_exact(pt.chain_from_space(space, beta), g[1], [g[2]], "direct")
+        chain = pt.chain_from_space(space, beta)
+        labels, lumped = chain.symmetry_lumping
+        noise = 1 + eps * np.random.default_rng(11).uniform(-1, 1, len(lumped.cond))
+        wrong = pt.WeightedChain(lumped.n, lumped.src, lumped.dst, lumped.cond * noise,
+                                 lumped.mu, lumped.size)
+        start = pt.mean_hitting_exact(wrong, labels[g[1]], [labels[g[2]]], "direct")
+        assert abs(start - want) > 1e-6 * want
+        chain.symmetry_lumping = labels, wrong
+        got = pt.mean_hitting_exact(chain, g[1], [g[2]], "direct")
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_state_cg_iterations_of_a_warm_start(self, space_224_open, monkeypatch):
+        # the lumped start replaces the 39-iteration cold solve: only the
+        # refinement's corrections iterate on the states (63 cold)
+        chain = pt.chain_from_space(space_224_open, 3.0)
+        g = space_224_open.ground_states()
+        calls, cg = [], pt.spla.cg
+
+        def counting_cg(A, b, **kw):
+            count = [A.shape[0], 0]
+            calls.append(count)
+            return cg(A, b, callback=lambda xk: count.__setitem__(1, count[1] + 1), **kw)
+
+        monkeypatch.setattr(pt.spla, "cg", counting_cg)
+        pt.mean_hitting_exact(chain, g[1], [g[2]], "direct")
+        n_classes = chain.symmetry_lumping[1].n
+        on_states = sum(its for n, its in calls if n > n_classes)
+        assert any(n <= n_classes for n, _ in calls)  # the lumped start ran CG
+        assert 0 < on_states <= 30
 
 
 class TestConstants:
