@@ -24,6 +24,7 @@ __all__ = [
     "StateSpace",
     "Quotient",
     "enumerate_space",
+    "state_indices",
     "CeilingSet",
     "comm_height",
     "neighborhood",
@@ -132,6 +133,13 @@ class StateSpace:
             self._levels = _energy_levels(self.energies)
         return self._levels
 
+    def colouring(self) -> np.ndarray | None:
+        """A proper 2-colouring of the single-flip graph: at q=2 the parity
+        of each state's spin-2 count, which every flip changes by one;
+        ``None`` at q >= 3, where three recolourings of a site are pairwise
+        adjacent."""
+        return np.bitwise_xor.reduce(self.spins_matrix, axis=1).view(bool) if self.q == 2 else None
+
     def orbits(self, perms) -> tuple[np.ndarray, int]:
         """Label every state by its orbit under the group generated by the
         site permutations ``perms`` (each as in :meth:`site_image`).
@@ -166,10 +174,12 @@ class StateSpace:
         classes of the int32 ``labels`` (``0..m-1``, one per state)."""
         rep = np.empty(m, dtype=np.int32)
         rep[labels] = np.arange(self.n_states, dtype=np.int32)  # any member will do
+        colouring = self.colouring()
         return Quotient(
             energies=self.energies[rep], size=np.bincount(labels, minlength=m),
             moves=labels[self.moves_from(rep)],
-            grounds={a: int(labels[s]) for a, s in self.ground_states().items()}, q=self.q)
+            grounds={a: int(labels[s]) for a, s in self.ground_states().items()}, q=self.q,
+            colours=None if colouring is None else colouring[rep])
 
 
 @dataclass
@@ -189,13 +199,15 @@ class Quotient:
     states the group fixes, such as the monochrome states, heights are
     thus the space's, and equilibrium potentials are constant on classes,
     so the lumped chain keeps their capacity and ``sum mu h`` (Kemeny and
-    Snell, *Finite Markov Chains*, 1960)."""
+    Snell, *Finite Markov Chains*, 1960).  Symmetries keep spin counts, so
+    a representative's parity is its class's :meth:`colouring`."""
 
     energies: np.ndarray  # (m,) int32 energy of each class
     size: np.ndarray  # (m,) number of states in each class
     moves: np.ndarray  # (m, n_moves) int32 class reached by each move of a representative
     grounds: dict  # spin a -> class of the constant-a configuration
     q: int  # spin values per site of the space
+    colours: np.ndarray | None  # (m,) bool spin-2 count parity of each class at q=2, else None
 
     @property
     def n_states(self) -> int:
@@ -203,6 +215,9 @@ class Quotient:
 
     def move_table(self) -> np.ndarray:
         return self.moves
+
+    def colouring(self) -> np.ndarray | None:
+        return self.colours
 
     def energy_levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:func:`_energy_levels` of the energies, cached."""
@@ -324,8 +339,8 @@ def comm_height(space: StateSpace | Quotient, source, target, avoid=None):
     a mask of any other shape raises ``ValueError``); returns ``None``
     when the endpoints are disconnected under the restriction.
     """
-    src = _state_indices(space, source, "source")
-    dst = _state_indices(space, target, "target")
+    src = state_indices(source, space.n_states, "source")
+    dst = state_indices(target, space.n_states, "target")
     blocked = _as_mask(space, avoid)
     if blocked is not None and (blocked[src].any() or blocked[dst].any()):
         raise ValueError("an endpoint lies in the avoid set")
@@ -335,16 +350,17 @@ def comm_height(space: StateSpace | Quotient, source, target, avoid=None):
     return int(reached.min()) if len(reached) else None
 
 
-def _state_indices(space: StateSpace | Quotient, states, role: str) -> np.ndarray:
+def state_indices(states, n: int, role: str) -> np.ndarray:
+    """``states`` as int64 indices into ``n`` nodes; ``ValueError``, naming
+    the ``role``, on a non-integer dtype or an index outside ``[0, n)``."""
     idx = np.atleast_1d(np.asarray(states))
     if idx.size and not np.issubdtype(idx.dtype, np.integer):
         # a boolean mask would read as the indices 0 and 1, floats would truncate
         raise ValueError(f"{role} indices must be integers, got dtype {idx.dtype}")
     idx = idx.astype(np.int64, copy=False)
-    bad = idx[(idx < 0) | (idx >= space.n_states)]
+    bad = idx[(idx < 0) | (idx >= n)]
     if len(bad):
-        raise ValueError(
-            f"{role} index {int(bad[0])} outside [0, {space.n_states})")
+        raise ValueError(f"{role} index {int(bad[0])} outside [0, {n})")
     return idx
 
 
@@ -357,7 +373,7 @@ def _as_mask(space: StateSpace | Quotient, avoid) -> np.ndarray | None:
             raise ValueError(f"a boolean avoid mask must have shape ({n},), got shape {arr.shape}")
         return arr
     mask = np.zeros(n, dtype=bool)
-    mask[_state_indices(space, arr, "avoid")] = True
+    mask[state_indices(arr, n, "avoid")] = True
     return mask
 
 
@@ -393,7 +409,7 @@ def neighborhood(space: StateSpace | Quotient, roots, ceiling: int, avoid=None) 
     :func:`comm_height`) are never entered; roots inside ``avoid`` are
     rejected.
     """
-    roots = _state_indices(space, roots, "root")
+    roots = state_indices(roots, space.n_states, "root")
     blocked = _as_mask(space, avoid)
     if blocked is not None and blocked[roots].any():
         raise ValueError("a root lies in the avoid set")

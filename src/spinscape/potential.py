@@ -23,7 +23,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .canon import classify_gateway, mk_mK
 from .landscape import (NON_REPRODUCIBLE_CLAIMS, Quotient, StateSpace, TypicalSets,
-                        comm_height, enumerate_space, neighborhood)
+                        comm_height, enumerate_space, neighborhood, state_indices)
 
 __all__ = [
     "WeightedChain",
@@ -57,10 +57,11 @@ class WeightedChain:
     ``mu`` is the invariant probability; conductance
     ``c_e = mu(x) r(x, y) = mu(y) r(y, x)`` is symmetric.  ``size`` counts
     the states of each node when the nodes are classes of states (the
-    chain of a :class:`~spinscape.landscape.Quotient`).  The cached
-    :attr:`colouring`, a proper 2-colouring of the states when the edges
-    admit one, lets the Dirichlet solves eliminate one colour class;
-    :func:`chain_from_space` records a q >= 3 chain's ``None`` in it.
+    chain of a :class:`~spinscape.landscape.Quotient`).  ``colouring``,
+    a boolean per node such that every edge joins a ``True`` and a
+    ``False`` node, lets the Dirichlet solves eliminate one colour class;
+    :func:`chain_from_space` copies the space's, and a solve that uses it
+    refuses one that an edge between two free nodes violates.
     """
 
     n: int
@@ -69,6 +70,7 @@ class WeightedChain:
     cond: np.ndarray
     mu: np.ndarray
     size: np.ndarray | None = None
+    colouring: np.ndarray | None = None
     #: ``(space, beta)`` of a chain that :func:`chain_from_space` built
     #: from an enumerated space, for :attr:`symmetry_lumping`
     origin: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -84,34 +86,6 @@ class WeightedChain:
         space, beta = self.origin
         labels, quotient = space.symmetry_quotient()
         return labels, chain_from_space(quotient, beta)
-
-    @cached_property
-    def colouring(self) -> np.ndarray | None:
-        """A boolean per state such that every edge joins a ``True`` and a
-        ``False`` state, or ``None``.
-
-        Each state takes the opposite colour of one lower-numbered
-        neighbour (a state with none is a root, coloured ``False``): its
-        colour is the parity of its depth in that forest, found by pointer
-        jumping.  The result is kept only if every edge joins two colours,
-        so nothing about the space is assumed.  A q=2 single-flip chain is
-        two-coloured by the parity of its spin-2 count, and so is each of
-        its lattice-symmetry quotients (a symmetry keeps the count); their
-        states and classes are numbered so that every one but the first has
-        a lower neighbour, and this finds that colouring.  Chains at q >= 3
-        have odd cycles and get ``None``, which :func:`chain_from_space`
-        records without running this."""
-        parent = np.arange(self.n)
-        parent[np.maximum(self.src, self.dst)] = np.minimum(self.src, self.dst)
-        odd = parent != np.arange(self.n)  # the parity of the step to the parent
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):  # every state points to its root
-                break
-            odd ^= odd[parent]
-            parent = grand
-        del parent, grand
-        return None if np.any(odd[self.src] == odd[self.dst]) else odd
 
     def laplacian(self) -> sp.csr_matrix:
         """The symmetric conductance Laplacian ``L`` with
@@ -211,13 +185,9 @@ def chain_from_space(space: StateSpace | Quotient, beta: float) -> WeightedChain
     (on an enumerated space no pair repeats).  Every edge is listed once
     from its lower end, in increasing order of both ends.
     A chain of an enumerated space records it as its ``origin``, from
-    which :attr:`WeightedChain.symmetry_lumping` is built.
-
-    At q >= 3 the chain records that it has no
-    :attr:`~WeightedChain.colouring`.  The recolourings of one site to
-    three of its values are pairwise adjacent, a triangle.  A symmetry of
-    the sites keeps spin counts, in which those three states differ, so
-    they lie in three classes of any quotient, which form a triangle too."""
+    which :attr:`WeightedChain.symmetry_lumping` is built.  The chain's
+    ``colouring`` is the space's ``colouring()``: the spin-2 count parity
+    at q=2, ``None`` at q >= 3."""
     moves = space.move_table()
     m = len(moves)
     size = space.size if isinstance(space, Quotient) else None
@@ -241,8 +211,7 @@ def chain_from_space(space: StateSpace | Quotient, beta: float) -> WeightedChain
     else:
         c = sp.csr_matrix((cond, (frm, to)), shape=(m, m)).tocoo()  # summed per pair
         chain = WeightedChain(n=m, src=c.row, dst=c.col, cond=c.data, mu=w / Z, size=size)
-    if space.q >= 3:
-        chain.colouring = None
+    chain.colouring = space.colouring()
     return chain
 
 
@@ -303,11 +272,12 @@ def _solve_dirichlet_problem(
     - up to 255 unknowns, a dense Cholesky factorization of the Laplacian
       on the free states (``WeightedChain._laplacian_on``, CSR with int32
       indices);
-    - above, on a chain with a :attr:`~WeightedChain.colouring`, conjugate
-      gradients on one colour class (the smaller): the other class is
-      eliminated exactly, and only the coupling ``C`` between the classes
-      is assembled, each free-free edge once, in int32 CSR
-      (``_two_colour_system``);
+    - above, on a chain with a ``colouring``, conjugate gradients on one
+      colour class (the smaller): the other class is eliminated exactly,
+      and only the coupling ``C`` between the classes is assembled, each
+      free-free edge once, in int32 CSR (``_two_colour_system``), which
+      raises ``ValueError`` before any solve if a free-free edge joins two
+      states of one colour;
     - above, on any other chain, Jacobi-scaled conjugate gradients on the
       whole free system.
 
@@ -392,12 +362,7 @@ def _solve_dirichlet_problem(
             scaled[entries] = block
         As = sp.csr_matrix((scaled, A.indices, A.indptr), shape=A.shape)
 
-        def solve(rhs, rtol):
-            y, info = spla.cg(As, rhs * dh, rtol=rtol, atol=0.0, maxiter=m)
-            if info != 0:  # the iteration count reached
-                raise RuntimeError(f"conjugate gradients did not converge on {m} "
-                                   f"unknowns in {info} iterations")
-            return y * dh
+        solve = lambda rhs, rtol: _cg(As, rhs * dh, rtol, m, m) * dh  # noqa: E731
 
     if lumping is None or m <= 255:
         x = solve(b, 1e-15)
@@ -432,10 +397,20 @@ def _warm_start(lumping, ones_set: np.ndarray, zeros_set: np.ndarray,
                            f"start on {m_l} classes failed: {err}") from err
 
 
+def _cg(A, rhs: np.ndarray, rtol: float, m: int, maxiter: int) -> np.ndarray:
+    """CG on ``A x = rhs``; ``RuntimeError``, naming the ``m`` unknowns, if
+    ``maxiter`` iterations do not reach the relative residual ``rtol``."""
+    x, info = spla.cg(A, rhs, rtol=rtol, atol=0.0, maxiter=maxiter)
+    if info != 0:  # the iteration count reached
+        raise RuntimeError(f"conjugate gradients did not converge on {m} "
+                           f"unknowns in {info} iterations")
+    return x
+
+
 def _two_colour_system(chain: WeightedChain, free: np.ndarray, diag: np.ndarray):
     """``(solve, residual)`` for the Laplacian on the ``free`` states of a
-    chain with a :attr:`~WeightedChain.colouring`, whose diagonal is
-    ``diag``.
+    chain with a ``colouring``, whose diagonal is ``diag``.  Raises
+    ``ValueError`` if a free-free edge joins two states of one colour.
 
     With the free states split into the classes ``R`` and ``B`` of the
     colouring (``B`` the smaller), the system is
@@ -462,10 +437,14 @@ def _two_colour_system(chain: WeightedChain, free: np.ndarray, diag: np.ndarray)
     del idx
     both = free[chain.src] & free[chain.dst]
     ends = chain.src[both]
-    row, flip = pos[ends], colour[ends] == black_colour  # a black source: swapped to (red, black)
+    row, src_colour = pos[ends], colour[ends]
     ends = chain.dst[both]
     col = pos[ends]
-    del ends, pos
+    if np.any(colour[ends] == src_colour):
+        raise ValueError("the chain's colouring is not proper: an edge between two free "
+                         "states joins two states of one colour")
+    flip = src_colour == black_colour  # a black source: swapped to (red, black)
+    del ends, pos, src_colour
     cond = chain.cond[both]
     del both
     row[flip], col[flip] = col[flip], row[flip]
@@ -482,11 +461,7 @@ def _two_colour_system(chain: WeightedChain, free: np.ndarray, diag: np.ndarray)
 
     def solve(rhs, rtol):
         rhs_r = rhs[red]
-        y, info = spla.cg(S, sb * (rhs[black] + Ct @ (inv_dr * rhs_r)),
-                          rtol=rtol, atol=0.0, maxiter=m_b)
-        if info != 0:  # the iteration count reached
-            raise RuntimeError(f"conjugate gradients did not converge on {m} "
-                               f"unknowns in {info} iterations")
+        y = _cg(S, sb * (rhs[black] + Ct @ (inv_dr * rhs_r)), rtol, m, m_b)
         x = np.empty(m)
         x[black] = y = y * sb
         x[red] = inv_dr * (rhs_r + C @ y)
@@ -555,18 +530,20 @@ def _extended_residual_two_colour(C: sp.csr_matrix, red: np.ndarray, x: np.ndarr
 
 
 def _symmetry_lumping_for(chain: WeightedChain, P, Q):
-    """The chain's :attr:`~WeightedChain.symmetry_lumping` when ``P`` and
-    ``Q`` are unions of its orbits (each class they meet holds as many of
-    their states as the class has), else ``None``."""
+    """``(P, Q, lumping)``: ``P`` and ``Q`` checked by ``state_indices``,
+    and the chain's :attr:`~WeightedChain.symmetry_lumping` when both are
+    unions of its orbits (each class they meet holds as many of their
+    states as the class has), else ``None``."""
+    P, Q = state_indices(P, chain.n, "P"), state_indices(Q, chain.n, "Q")
     lumping = chain.symmetry_lumping
     if lumping is None:
-        return None
+        return P, Q, None
     labels, lumped = lumping
     for states in (P, Q):
-        cls = labels[np.unique(np.asarray(states, dtype=np.int64))]
+        cls = labels[np.unique(states)]
         if np.any(np.bincount(cls, minlength=lumped.n)[cls] != lumped.size[cls]):
-            return None
-    return lumping
+            return P, Q, None
+    return P, Q, lumping
 
 
 def _potential(chain: WeightedChain, P, Q) -> np.ndarray:
@@ -579,7 +556,7 @@ def _potential_nodes(chain: WeightedChain, P, Q):
     """``(nodes, h, labels)``: the chain ``h`` is solved on, ``h`` on its
     nodes, and the class of each state (``None`` when the nodes are the
     chain's states), as :func:`equilibrium_potential` describes."""
-    lumping = _symmetry_lumping_for(chain, P, Q)
+    P, Q, lumping = _symmetry_lumping_for(chain, P, Q)
     if lumping is None:
         return chain, _potential(chain, P, Q), None
     labels, lumped = lumping
@@ -604,7 +581,7 @@ def potential_classes(chain: WeightedChain, P, Q) -> int:
     """The number of nodes :func:`equilibrium_potential` solves ``(P, Q)``
     on: the lattice-symmetry classes when it lumps, else the chain's
     states."""
-    lumping = _symmetry_lumping_for(chain, P, Q)
+    lumping = _symmetry_lumping_for(chain, P, Q)[2]
     return chain.n if lumping is None else lumping[1].n
 
 
@@ -643,16 +620,19 @@ def mean_hitting_exact(chain: WeightedChain, s: int, target, method: str = "capa
     exact in exact arithmetic (strong lumpability), instead of from a
     solve on the states; the refinement still runs on the states.  The
     two routes agree to high relative accuracy on well-conditioned
-    instances.  Above 255 unknowns on a chain with a
-    :attr:`~WeightedChain.colouring` (every q=2 chain), both routes solve by
-    conjugate gradients on one colour class, with the other eliminated
-    (see ``_solve_dirichlet_problem``).  Either route raises
-    ``RuntimeError`` when its solve fails, as the direct route does at
-    large ``beta``: its dense factorization fails up to 255 unknowns, and
-    above that conjugate gradients do not converge, on the states or in
-    the lumped start, which is never replaced by a cold start.
+    instances.  Above 255 unknowns on a chain with a ``colouring`` (every
+    q=2 chain :func:`chain_from_space` builds, recorded from its space),
+    both routes solve by conjugate gradients on one colour class, with
+    the other eliminated (see ``_solve_dirichlet_problem``).  Either route
+    raises ``RuntimeError`` when its solve fails, as the direct route does
+    at large ``beta``: its dense factorization fails up to 255 unknowns,
+    and above that conjugate gradients do not converge, on the states or
+    in the lumped start, which is never replaced by a cold start.
+    ``ValueError`` refuses indices that are not the chain's nodes, and a
+    colouring that an edge between two free states violates.
     """
-    target = np.atleast_1d(np.asarray(target, dtype=np.int64))
+    (s,) = state_indices(s, chain.n, "s")
+    target = state_indices(target, chain.n, "target")
     if method == "capacity":
         nodes, h, _ = _potential_nodes(chain, [s], target)
         return float(np.sum(nodes.mu * h) / dirichlet(nodes, h))
@@ -666,8 +646,9 @@ def _mean_hitting_times(chain: WeightedChain, target: np.ndarray) -> np.ndarray:
     ``(L u)|free = mu`` (conductance-symmetrized), ``u = 0`` on the
     target, warm-started from the lumped system when the target is a
     union of orbits."""
+    target, _, lumping = _symmetry_lumping_for(chain, target, [])
     return _solve_dirichlet_problem(chain, np.empty(0, dtype=np.int64), target, chain.mu,
-                                    lumping=_symmetry_lumping_for(chain, target, []))
+                                    lumping=lumping)
 
 
 # ---------------------------------------------------------------------------

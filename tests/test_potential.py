@@ -158,6 +158,67 @@ class TestSolverRefusals:
         assert abs(m_dir - m_cap) / m_cap < 1e-6
 
 
+#: Every entry point of the potential layer that takes state indices, with
+#: ``bad`` given as one of its index arguments and a ground state as the other
+_INDEX_ENTRIES = {
+    "equilibrium_potential-P": lambda sp_, ch, g, bad: pt.equilibrium_potential(ch, bad, [g[2]]),
+    "equilibrium_potential-Q": lambda sp_, ch, g, bad: pt.equilibrium_potential(ch, [g[1]], bad),
+    "capacity-P": lambda sp_, ch, g, bad: pt.capacity(ch, bad, [g[2]]),
+    "capacity-Q": lambda sp_, ch, g, bad: pt.capacity(ch, [g[1]], bad),
+    "potential_classes-P": lambda sp_, ch, g, bad: pt.potential_classes(ch, bad, [g[2]]),
+    "potential_classes-Q": lambda sp_, ch, g, bad: pt.potential_classes(ch, [g[1]], bad),
+    "mean_hitting_exact-s": lambda sp_, ch, g, bad: pt.mean_hitting_exact(ch, bad[0], [g[2]]),
+    "mean_hitting_exact-s-direct":
+        lambda sp_, ch, g, bad: pt.mean_hitting_exact(ch, bad[0], [g[2]], "direct"),
+    "mean_hitting_exact-target": lambda sp_, ch, g, bad: pt.mean_hitting_exact(ch, g[1], bad),
+    "mean_hitting_exact-target-direct":
+        lambda sp_, ch, g, bad: pt.mean_hitting_exact(ch, g[1], bad, "direct"),
+    "h1_diagnostics-P":
+        lambda sp_, ch, g, bad: pt.h1_diagnostics(sp_, np.zeros(ch.n), 3.0, bad, [g[2]]),
+    "h1_diagnostics-Q":
+        lambda sp_, ch, g, bad: pt.h1_diagnostics(sp_, np.zeros(ch.n), 3.0, [g[1]], bad),
+}
+
+
+class TestIndexRefusals:
+    """Source, target and boundary indices are refused with ``ValueError``
+    unless they are integer indices of the chain's nodes, as the landscape
+    layer refuses them, instead of being wrapped, cast or truncated."""
+
+    @pytest.fixture(scope="class")
+    def space_chain_222(self):
+        space = enumerate_space(LatticeSpec(2, 2, 2, 2, "open"))
+        return space, pt.chain_from_space(space, 3.0)
+
+    def _refused(self, space_chain_222, entry, bad, match):
+        space, chain = space_chain_222
+        with pytest.raises(ValueError, match=match):
+            _INDEX_ENTRIES[entry](space, chain, space.ground_states(), bad)
+
+    @pytest.mark.parametrize("entry", _INDEX_ENTRIES)
+    def test_negative_index(self, space_chain_222, entry):
+        # at -1 numpy would wrap to the last state: capacity(chain, [-1], [0])
+        # would be capacity(chain, [255], [0])
+        self._refused(space_chain_222, entry, [-1], r"index -1 outside \[0, 256\)")
+
+    @pytest.mark.parametrize("entry", _INDEX_ENTRIES)
+    def test_boolean_index(self, space_chain_222, entry):
+        # True would be read as state 1
+        self._refused(space_chain_222, entry, [True], "must be integers, got dtype bool")
+
+    @pytest.mark.parametrize("bad", [[0.9], [3.2]])
+    @pytest.mark.parametrize("entry", _INDEX_ENTRIES)
+    def test_float_index_on_the_state_path(self, space_chain_222, entry, bad):
+        # 0.9 and 3.2 would truncate to the states 0 and 3; {3} is no union
+        # of orbits, so capacity(chain, [0.9], [3.2]) would solve on the states
+        self._refused(space_chain_222, entry, bad, "must be integers, got dtype float64")
+
+    @pytest.mark.parametrize("entry", _INDEX_ENTRIES)
+    def test_index_past_the_end(self, space_chain_222, entry):
+        # a raw IndexError before
+        self._refused(space_chain_222, entry, [256], r"index 256 outside \[0, 256\)")
+
+
 def _reduced_system(chain, ones, zeros, rhs_extra=None):
     """The Dirichlet problem's reduced Laplacian (sparse) and right-hand side,
     assembled from the edge list, with the free states' indices.  Each sum
@@ -240,10 +301,10 @@ class TestReducedSystem:
         assert peak <= 600 * (chain.n - 2)
 
     def test_direct_solve_traced_peak_per_unknown(self, space_224_open):
-        # a direct-route solve on a two-coloured chain, its colouring found
-        # inside: the coupling between the classes is the only matrix, so the
-        # traced peak is about 255 B per unknown (while assembling it),
-        # against 456 B with the Laplacian and its Jacobi-scaled copy
+        # a direct-route solve on a two-coloured chain: the coupling between
+        # the classes is the only matrix, so the traced peak is about 255 B
+        # per unknown (while assembling it), against 456 B with the
+        # Laplacian and its Jacobi-scaled copy
         chain = pt.chain_from_space(space_224_open, 3.0)
         g = space_224_open.ground_states()
         tracemalloc.start()
@@ -314,8 +375,9 @@ def _backward_error_of(x, chain, ones, zeros, extra=None):
 
 class TestColouring:
     """A chain's two-colouring, which lets the solver eliminate one class,
-    is found from its edges alone: the parity of the spin-2 count at q=2,
-    on states and on symmetry quotients, and none at q >= 3."""
+    is recorded from its space: the parity of the spin-2 count at q=2, on
+    states and on symmetry quotients, and none at q >= 3, where none
+    exists.  A solve refuses a colouring that an edge violates."""
 
     @pytest.mark.parametrize("spec, group, count", [
         (LatticeSpec(2, 2, 3, 2, "open"), "states", 4096),
@@ -342,6 +404,7 @@ class TestColouring:
         colour = chain.colouring
         assert colour is not None and colour.dtype == bool
         assert np.array_equal(colour, per_node) or np.array_equal(colour, ~per_node)
+        assert not np.any(colour[chain.src] == colour[chain.dst])  # every edge joins two colours
 
     @pytest.mark.parametrize("which", ["222q3-states", "222q3-symmetry", "3x4q3-translation",
                                        "224-aux"])
@@ -362,24 +425,32 @@ class TestColouring:
 
     @pytest.mark.parametrize("which", ["222q3-states", "222q3-symmetry", "3x3q3-translation"])
     def test_q3_builder_records_none(self, which):
-        # chain_from_space records the q >= 3 refusal without looking for a
-        # colouring, and the search over the edges agrees with it
+        # the recolourings of site 0 (the least digit) of the ground state
+        # to its three values lie in three nodes that are pairwise adjacent,
+        # a triangle, so no 2-colouring exists and none is recorded
         if which == "3x3q3-translation":
             space = enumerate_space(Lattice2D(3, 3, 3, "periodic"))
-            nodes = space.quotient(*space.orbits(space.spec.unit_translations()))
+            labels, m = space.orbits(space.spec.unit_translations())
+            nodes = space.quotient(labels, m)
+        elif which == "222q3-symmetry":
+            space = enumerate_space(LatticeSpec(2, 2, 2, 3, "open"))
+            labels, nodes = space.symmetry_quotient()
         else:
             space = enumerate_space(LatticeSpec(2, 2, 2, 3, "open"))
-            nodes = space.symmetry_quotient()[1] if which == "222q3-symmetry" else space
+            labels, nodes = np.arange(space.n_states), space
         chain = pt.chain_from_space(nodes, 3.0)
-        assert "colouring" in vars(chain) and chain.colouring is None
-        assert pt.WeightedChain.colouring.func(chain) is None
-        assert "colouring" not in vars(pt.chain_from_space(enumerate_space(
-            LatticeSpec(2, 2, 2, 2, "open")), 3.0))
+        triangle = labels[[0, 1, 2]]
+        assert len(np.unique(triangle)) == 3
+        edges = set(zip(chain.src.tolist(), chain.dst.tolist()))
+        for a, b in itertools.combinations(triangle.tolist(), 2):
+            assert (min(a, b), max(a, b)) in edges
+        assert nodes.colouring() is None and chain.colouring is None
 
     def test_same_colour_edge_solves_the_whole_system(self, space_223_open):
-        # one added edge between two states of one spin-2 parity leaves no
-        # colouring, so the 4,094 unknowns are solved by the whole-system
-        # conjugate gradients, which must still match the dense oracle
+        # a chain re-wrapped with one added edge between two states of one
+        # spin-2 parity is given no colouring, so the 4,094 unknowns are
+        # solved by the whole-system conjugate gradients, which must still
+        # match the dense oracle
         chain = pt.chain_from_space(space_223_open, 3.0)
         g = space_223_open.ground_states()
         a, b = 1, 2  # one spin 2 each
@@ -394,6 +465,27 @@ class TestColouring:
         assert np.max(np.abs(h - h_or)) <= 1e-12
         cap_or = np.sum(raw.cond * (h_or[raw.dst] - h_or[raw.src]) ** 2)
         assert pt.capacity(raw, [g[1]], [g[2]]) == pytest.approx(cap_or, rel=1e-12, abs=0)
+
+    def test_violated_colouring_is_refused_before_any_solve(self, space_223_open, monkeypatch):
+        # one state's colour flipped: both solves on the states raise before
+        # conjugate gradients run, where they would return a wrong answer;
+        # the ground-state capacity solves on the quotient's own colouring
+        g = space_223_open.ground_states()
+        s = int(np.flatnonzero(space_223_open.energies == 10)[0])
+        want = pt.capacity(pt.chain_from_space(space_223_open, 3.0), [g[1]], [g[2]])
+        chain = pt.chain_from_space(space_223_open, 3.0)
+        chain.colouring = chain.colouring.copy()
+        chain.colouring[1] = not chain.colouring[1]  # state 1 is free in every problem here
+        calls, cg = [], pt.spla.cg
+        monkeypatch.setattr(pt.spla, "cg", lambda *a, **kw: calls.append(a) or cg(*a, **kw))
+        with pytest.raises(ValueError, match="colouring"):
+            pt.mean_hitting_exact(chain, g[1], [g[2]], "direct")
+        assert pt.potential_classes(chain, [s], [g[2]]) == chain.n
+        with pytest.raises(ValueError, match="colouring"):
+            pt.equilibrium_potential(chain, [s], [g[2]])
+        assert not calls
+        assert pt.capacity(chain, [g[1]], [g[2]]) == want
+        assert calls  # by conjugate gradients on the 378 classes
 
 
 class TestRefinementStop:
@@ -798,7 +890,8 @@ class TestSymmetryLumping:
         s = int(np.flatnonzero(space_223_open.energies == 10)[0])
         chain = pt.chain_from_space(space_223_open, 3.0)
         assert pt.potential_classes(chain, [s], [g[2]]) == chain.n
-        raw = pt.WeightedChain(chain.n, chain.src, chain.dst, chain.cond, chain.mu)
+        raw = pt.WeightedChain(chain.n, chain.src, chain.dst, chain.cond, chain.mu,
+                               colouring=chain.colouring)
         h = pt.equilibrium_potential(chain, [s], [g[2]])
         assert h.tobytes() == pt.equilibrium_potential(raw, [s], [g[2]]).tobytes()
         m_cap = pt.mean_hitting_exact(chain, s, [g[2]], method="capacity")
